@@ -10,23 +10,56 @@ import (
 func TestParseBenchLine(t *testing.T) {
 	cases := []struct {
 		line string
-		name string
-		ns   float64
+		want benchLine
 		ok   bool
 	}{
-		{"BenchmarkCacheAccessMRUHit-8   	197019026	         6.094 ns/op", "BenchmarkCacheAccessMRUHit", 6.094, true},
-		{"BenchmarkTableIV          	       2	2168872337 ns/op	1206849128 B/op	   44042 allocs/op", "BenchmarkTableIV", 2168872337, true},
-		{"BenchmarkAblationLinkage/average-16        100     1200 ns/op", "BenchmarkAblationLinkage/average", 1200, true},
-		{"ok  	repro/internal/mem	0.006s", "", 0, false},
-		{"PASS", "", 0, false},
-		{"goos: linux", "", 0, false},
+		{"BenchmarkCacheAccessMRUHit-8   	197019026	         6.094 ns/op", benchLine{name: "BenchmarkCacheAccessMRUHit", ns: 6.094}, true},
+		{"BenchmarkTableIV          	       2	2168872337 ns/op	1206849128 B/op	   44042 allocs/op",
+			benchLine{name: "BenchmarkTableIV", ns: 2168872337, bytes: 1206849128, allocs: 44042, mem: true}, true},
+		{"BenchmarkDisabledSpan-2   	123014362	         9.657 ns/op	       0 B/op	       0 allocs/op",
+			benchLine{name: "BenchmarkDisabledSpan", ns: 9.657, mem: true}, true},
+		{"BenchmarkAblationLinkage/average-16        100     1200 ns/op", benchLine{name: "BenchmarkAblationLinkage/average", ns: 1200}, true},
+		{"BenchmarkX-2   	       1	 80 B/op", benchLine{}, false},
+		{"ok  	repro/internal/mem	0.006s", benchLine{}, false},
+		{"PASS", benchLine{}, false},
+		{"goos: linux", benchLine{}, false},
 	}
 	for _, c := range cases {
-		name, ns, ok := parseBenchLine(c.line)
-		if ok != c.ok || name != c.name || ns != c.ns {
-			t.Errorf("parseBenchLine(%q) = (%q, %v, %v), want (%q, %v, %v)",
-				c.line, name, ns, ok, c.name, c.ns, c.ok)
+		got, ok := parseBenchLine(c.line)
+		if ok != c.ok || (ok && got != c.want) {
+			t.Errorf("parseBenchLine(%q) = (%+v, %v), want (%+v, %v)", c.line, got, ok, c.want, c.ok)
 		}
+	}
+}
+
+// TestRecordKeepsMinimumPerStatistic: each statistic keeps its own
+// minimum across -count repetitions, and B/op and allocs/op are recorded
+// only for -benchmem lines.
+func TestRecordKeepsMinimumPerStatistic(t *testing.T) {
+	rec := Record{Benchmarks: map[string]float64{}}
+	for _, line := range []string{
+		"BenchmarkTableIV-2   1   1812629562 ns/op   1212376568 B/op   55741 allocs/op",
+		"BenchmarkTableIV-2   1   1759046594 ns/op   1206848952 B/op   43956 allocs/op",
+		"BenchmarkTableIV-2   1   1826913976 ns/op   1206848632 B/op   43964 allocs/op",
+		"BenchmarkCacheAccessHit-2   100   4.4 ns/op",
+	} {
+		b, ok := parseBenchLine(line)
+		if !ok {
+			t.Fatalf("unparsed: %q", line)
+		}
+		rec.add(b)
+	}
+	if got := rec.Benchmarks["BenchmarkTableIV"]; got != 1759046594 {
+		t.Errorf("ns/op = %v, want the minimum 1759046594", got)
+	}
+	if got := rec.BytesPerOp["BenchmarkTableIV"]; got != 1206848632 {
+		t.Errorf("B/op = %v, want the minimum 1206848632", got)
+	}
+	if got := rec.AllocsPerOp["BenchmarkTableIV"]; got != 43956 {
+		t.Errorf("allocs/op = %v, want the minimum 43956", got)
+	}
+	if _, ok := rec.BytesPerOp["BenchmarkCacheAccessHit"]; ok {
+		t.Error("a line without -benchmem columns recorded B/op")
 	}
 }
 
@@ -114,5 +147,61 @@ func TestPhaseTolerance(t *testing.T) {
 	curB := write("newb.json", Record{Rev: "b", Benchmarks: map[string]float64{"BenchmarkX": 120}})
 	if err := compare([]string{oldB, curB}); err == nil {
 		t.Error("20%% benchmark slowdown should fail the 10%% tolerance")
+	}
+}
+
+// TestMemoryGate: B/op and allocs/op gate at a fixed 5% beside ns/op,
+// differences within the absolute slack never fail, and a record without
+// memory statistics is not compared.
+func TestMemoryGate(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, rec Record) string {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	rec := func(rev string, bytes, allocs float64) Record {
+		return Record{
+			Rev:         rev,
+			Benchmarks:  map[string]float64{"BenchmarkX": 100},
+			BytesPerOp:  map[string]float64{"BenchmarkX": bytes},
+			AllocsPerOp: map[string]float64{"BenchmarkX": allocs},
+		}
+	}
+	old := write("old.json", rec("a", 1e9, 44000))
+	for _, c := range []struct {
+		name          string
+		bytes, allocs float64
+		pass          bool
+	}{
+		{"same", 1e9, 44000, true},
+		{"within tolerance", 1.04e9, 45000, true},
+		{"much better", 8e7, 11000, true},
+		{"bytes regress", 1.2e9, 44000, false},
+		{"allocs regress", 1e9, 50000, false},
+	} {
+		cur := write(c.name+".json", rec("b", c.bytes, c.allocs))
+		if err := compare([]string{old, cur}); (err == nil) != c.pass {
+			t.Errorf("%s: compare error %v, want pass=%v", c.name, err, c.pass)
+		}
+	}
+
+	small := write("small.json", rec("a", 0, 0))
+	if err := compare([]string{small, write("small1.json", rec("b", 48, 1))}); err != nil {
+		t.Errorf("growth within the absolute slack should pass: %v", err)
+	}
+	if err := compare([]string{small, write("small2.json", rec("b", 200, 2))}); err == nil {
+		t.Error("a newly allocating benchmark beyond the slack should fail")
+	}
+
+	noMem := write("nomem.json", Record{Rev: "c", Benchmarks: map[string]float64{"BenchmarkX": 100}})
+	if err := compare([]string{noMem, write("big.json", rec("b", 1e12, 1e9))}); err != nil {
+		t.Errorf("an old record without memory statistics should not gate them: %v", err)
 	}
 }

@@ -91,6 +91,22 @@ func New(tableBits uint, btbEntries, btbWays int) *Predictor {
 	return p
 }
 
+// Renew returns a predictor in exactly the state New(tableBits,
+// btbEntries, btbWays) builds. When p already has that geometry its
+// tables are reset in place and reused; otherwise, or when p is nil, a
+// new predictor is allocated.
+func Renew(p *Predictor, tableBits uint, btbEntries, btbWays int) *Predictor {
+	if p == nil || p.bits != tableBits || len(p.btbTags) != btbEntries || p.btbWays != btbWays {
+		return New(tableBits, btbEntries, btbWays)
+	}
+	p.Flush()
+	clear(p.btbTS)
+	clear(p.btbMRU)
+	p.btbClock = 0
+	p.Stats = Stats{}
+	return p
+}
+
 func (p *Predictor) index(pc uint64) uint64 {
 	return (pc>>2 ^ p.history) & p.mask
 }

@@ -1,6 +1,7 @@
 package branch
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/rng"
@@ -165,5 +166,19 @@ func TestConstructorValidation(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+func TestRenewMatchesNew(t *testing.T) {
+	p := New(12, 512, 4)
+	r := rng.New(3)
+	for i := 0; i < 5000; i++ {
+		p.Predict(uint64(r.Intn(1<<16))*4, r.Bool(0.6))
+	}
+	if got := Renew(p, 12, 512, 4); got != p || !reflect.DeepEqual(got, New(12, 512, 4)) {
+		t.Fatal("renewing on the same geometry must reset in place to the new state")
+	}
+	if got := Renew(p, 12, 1024, 4); got == p || !reflect.DeepEqual(got, New(12, 1024, 4)) {
+		t.Fatal("renewing on a different geometry must allocate a new predictor")
 	}
 }

@@ -144,6 +144,10 @@ func measureSuiteWorkersCtx(ctx context.Context, ps []workload.Profile, m *machi
 		wg.Add(1)
 		go func(lane int) {
 			defer wg.Done()
+			// The worker's engine storage, reused across its workloads and
+			// dropped with the worker (see sim.Arena: never cache it
+			// beyond the measurement).
+			var arena sim.Arena
 			for j := range jobs {
 				if tr != nil {
 					tr.Observe("pool.queue.wait", tr.Now().Sub(j.enq))
@@ -159,7 +163,7 @@ func measureSuiteWorkersCtx(ctx context.Context, ps []workload.Profile, m *machi
 				o := opts
 				wspan := suite.ChildLane(lane, "sim", p.Name)
 				o.Obs = wspan
-				out[j.idx] = measureOne(p, m, o)
+				out[j.idx] = measureOne(&arena, p, m, o)
 				wspan.End()
 				if tr != nil {
 					busy.Add(int64(wspan.Duration()))
@@ -190,10 +194,11 @@ feed:
 	return out, nil
 }
 
-// measureOne runs one workload and derives its metric vector, reporting
-// the derivation as a child span of the per-workload span in opts.Obs.
-func measureOne(p workload.Profile, m *machine.Config, opts sim.Options) Measurement {
-	res, err := sim.Run(p, m, opts)
+// measureOne runs one workload on the worker's arena and derives its
+// metric vector, reporting the derivation as a child span of the
+// per-workload span in opts.Obs.
+func measureOne(arena *sim.Arena, p workload.Profile, m *machine.Config, opts sim.Options) Measurement {
+	res, err := arena.Run(p, m, opts)
 	if err != nil {
 		return Measurement{Workload: p, Err: err}
 	}

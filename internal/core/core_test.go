@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -239,5 +240,53 @@ func TestMeasureSuiteCtxBackground(t *testing.T) {
 		if got[i].Vector != want[i].Vector {
 			t.Fatalf("%s: ctx and classic paths diverge", got[i].Workload.Name)
 		}
+	}
+}
+
+// TestSuiteMeasurementReusesAndReleasesEngineStorage guards the worker
+// arena from both sides. Reuse: with one worker, every workload after the
+// first runs on the storage the first one allocated, so a workload
+// allocates tens of KB instead of a fresh ~21 MB hierarchy. Release: once
+// the measurement returns, a GC brings the heap back to where it started;
+// an arena cached beyond its measurement (a global or a sync.Pool, whose
+// victim cache survives one GC) would keep ~21 MB live. The machine is a
+// Xeon with its LLC doubled, a geometry no other test uses, so storage
+// that outlives its measurement must be allocated, and show, here.
+func TestSuiteMeasurementReusesAndReleasesEngineStorage(t *testing.T) {
+	m := machine.XeonE5()
+	m.L3.SizeBytes *= 2
+	ps := workload.DotNetCategories()[:6]
+	opts := sim.Options{Instructions: 1000}
+	measure := func(ps []workload.Profile) []Measurement {
+		t.Helper()
+		ms, err := MeasureSuiteCtx(context.Background(), nil, ps, m, opts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ms
+	}
+	const retainSlack = 1 << 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ms := measure(ps)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(ms)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > retainSlack {
+		t.Errorf("heap grew %d B across a measurement, want <= %d B: engine storage outlived it", grew, retainSlack)
+	}
+
+	allocated := func(ps []workload.Profile) int64 {
+		var start, end runtime.MemStats
+		runtime.ReadMemStats(&start)
+		measure(ps)
+		runtime.ReadMemStats(&end)
+		return int64(end.TotalAlloc - start.TotalAlloc)
+	}
+	const perWorkloadBound = 512 << 10
+	one, all := allocated(ps[:1]), allocated(ps)
+	if per := (all - one) / int64(len(ps)-1); per > perWorkloadBound {
+		t.Errorf("each workload after the first allocated %d B, want <= %d B: engine storage is not reused", per, perWorkloadBound)
 	}
 }

@@ -1,9 +1,10 @@
 // Package mem implements the memory-hierarchy simulators behind the
 // paper's cache and TLB metrics: set-associative caches with LRU
-// replacement, composed into an L1I/L1D + unified L2 + LLC hierarchy, and
-// I-/D-TLB models with a unified second-level TLB. The perf harness feeds
-// synthetic address streams through these structures; every cache/TLB MPKI
-// value in the reproduced figures is counted here rather than assumed.
+// replacement, which the simulation engine wires into an L1I/L1D +
+// unified L2 + LLC hierarchy per core, and I-/D-TLB models with a unified
+// second-level TLB. The engine feeds synthetic address streams through
+// these structures; every cache/TLB MPKI value in the reproduced figures
+// is counted here rather than assumed.
 package mem
 
 import (
@@ -92,8 +93,31 @@ func NewCache(name string, g machine.CacheGeom, policy ReplacementPolicy) *Cache
 		tags:     make([]uint64, sets*g.Ways),
 		ts:       make([]uint64, sets*g.Ways),
 		mru:      make([]int32, sets),
-		rseed:    0x2545f4914f6cdd1d,
+		rseed:    rseedInit,
 	}
+}
+
+// rseedInit is the Random policy's initial xorshift state.
+const rseedInit = 0x2545f4914f6cdd1d
+
+// RenewCache returns a cache in exactly the state NewCache(name, g,
+// policy) builds. When c already has g's geometry its storage is reset in
+// place and reused, so a simulation worker running workload after workload
+// on one machine stops reallocating (and re-zeroing, and collecting) its
+// hierarchy; otherwise, or when c is nil, it allocates a new cache.
+func RenewCache(c *Cache, name string, g machine.CacheGeom, policy ReplacementPolicy) *Cache {
+	if c == nil || c.sets != g.Sets() || c.ways != g.Ways || 1<<c.lineBits != g.LineBytes {
+		return NewCache(name, g, policy)
+	}
+	c.name = name
+	clear(c.tags)
+	clear(c.ts)
+	clear(c.mru)
+	c.policy = policy
+	c.clock = 0
+	c.rseed = rseedInit
+	c.Stats = CacheStats{}
+	return c
 }
 
 // Name returns the cache's label.
@@ -734,85 +758,3 @@ func (c *Cache) FlushRange(start, size uint64) {
 // ResetStats zeroes the counters without touching cache contents; used to
 // discard warmup runs the way §III-A discards the first of 15 runs.
 func (c *Cache) ResetStats() { c.Stats = CacheStats{} }
-
-// AccessKind distinguishes the kinds of memory access for hierarchy stats.
-type AccessKind int
-
-const (
-	InstFetch AccessKind = iota
-	Load
-	Store
-)
-
-// HierarchyResult reports where in the hierarchy an access hit.
-type HierarchyResult struct {
-	L1Hit, L2Hit, L3Hit bool
-	// Level is 1..4, with 4 meaning DRAM.
-	Level int
-}
-
-// Hierarchy composes L1I/L1D, a unified L2 and the LLC. One Hierarchy
-// models one core's private levels; the LLC may be shared across cores via
-// the noc package, which wraps the same Cache type.
-type Hierarchy struct {
-	L1I, L1D *Cache
-	L2       *Cache
-	L3       *Cache // may be shared; nil-safe accessors are not provided on purpose
-}
-
-// NewHierarchy builds a per-core hierarchy (with a private LLC) from a
-// machine config.
-func NewHierarchy(cfg *machine.Config, policy ReplacementPolicy) *Hierarchy {
-	return &Hierarchy{
-		L1I: NewCache("L1I", cfg.L1I, policy),
-		L1D: NewCache("L1D", cfg.L1D, policy),
-		L2:  NewCache("L2", cfg.L2, policy),
-		L3:  NewCache("L3", cfg.L3, policy),
-	}
-}
-
-// NewHierarchyShared builds a per-core hierarchy around an existing shared
-// LLC.
-func NewHierarchyShared(cfg *machine.Config, policy ReplacementPolicy, shared *Cache) *Hierarchy {
-	return &Hierarchy{
-		L1I: NewCache("L1I", cfg.L1I, policy),
-		L1D: NewCache("L1D", cfg.L1D, policy),
-		L2:  NewCache("L2", cfg.L2, policy),
-		L3:  shared,
-	}
-}
-
-// Access sends one access through the hierarchy and reports the hit level.
-func (h *Hierarchy) Access(kind AccessKind, addr uint64) HierarchyResult {
-	l1 := h.L1D
-	if kind == InstFetch {
-		l1 = h.L1I
-	}
-	if l1.Access(addr) {
-		return HierarchyResult{L1Hit: true, Level: 1}
-	}
-	if h.L2.Access(addr) {
-		return HierarchyResult{L2Hit: true, Level: 2}
-	}
-	if h.L3.Access(addr) {
-		return HierarchyResult{L3Hit: true, Level: 3}
-	}
-	return HierarchyResult{Level: 4}
-}
-
-// FlushAll clears every level (but not a shared L3's peers' view: the LLC
-// flush affects all sharers, which is physically accurate).
-func (h *Hierarchy) FlushAll() {
-	h.L1I.Flush()
-	h.L1D.Flush()
-	h.L2.Flush()
-	h.L3.Flush()
-}
-
-// ResetStats clears counters at every level.
-func (h *Hierarchy) ResetStats() {
-	h.L1I.ResetStats()
-	h.L1D.ResetStats()
-	h.L2.ResetStats()
-	h.L3.ResetStats()
-}

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -151,53 +152,6 @@ func TestMissRateBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestInclusionLikeHierarchy(t *testing.T) {
-	cfg := machine.CoreI9()
-	h := NewHierarchy(cfg, LRU)
-	res := h.Access(Load, 0xdeadbe00)
-	if res.Level != 4 {
-		t.Fatalf("cold access should go to DRAM, level=%d", res.Level)
-	}
-	res = h.Access(Load, 0xdeadbe00)
-	if res.Level != 1 {
-		t.Fatalf("second access should hit L1, level=%d", res.Level)
-	}
-	// Instruction fetch uses L1I, so a prior data access does not warm it.
-	res = h.Access(InstFetch, 0xdeadbe00)
-	if res.L1Hit {
-		t.Fatal("L1I should not be warmed by data access")
-	}
-	if res.Level != 2 {
-		t.Fatalf("ifetch should hit L2 after the load warmed it, level=%d", res.Level)
-	}
-}
-
-func TestHierarchySharedLLC(t *testing.T) {
-	cfg := machine.CoreI9()
-	shared := NewCache("LLC", cfg.L3, LRU)
-	h1 := NewHierarchyShared(cfg, LRU, shared)
-	h2 := NewHierarchyShared(cfg, LRU, shared)
-	h1.Access(Load, 0x4000)
-	// Core 2 misses its private levels but hits the shared LLC.
-	res := h2.Access(Load, 0x4000)
-	if res.Level != 3 {
-		t.Fatalf("cross-core access should hit shared LLC, level=%d", res.Level)
-	}
-}
-
-func TestHierarchyFlushAndReset(t *testing.T) {
-	h := NewHierarchy(machine.CoreI9(), LRU)
-	h.Access(Load, 0x40)
-	h.FlushAll()
-	if h.Access(Load, 0x40).Level != 4 {
-		t.Fatal("flush-all should cold-miss")
-	}
-	h.ResetStats()
-	if h.L1D.Stats.Accesses != 0 {
-		t.Fatal("ResetStats failed")
-	}
-}
-
 func TestNewCachePanicsOnBadGeometry(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -205,4 +159,31 @@ func TestNewCachePanicsOnBadGeometry(t *testing.T) {
 		}
 	}()
 	NewCache("bad", machine.CacheGeom{SizeBytes: 100, LineBytes: 7, Ways: 3}, LRU)
+}
+
+func TestRenewCacheMatchesNew(t *testing.T) {
+	g := smallGeom()
+	c := NewCache("t", g, Random)
+	for a := uint64(0); a < 1<<14; a += 64 {
+		c.Access(a * 7)
+	}
+	c.InsertRange(0, 4096)
+	for _, policy := range []ReplacementPolicy{Random, LRU} {
+		got := RenewCache(c, "t", g, policy)
+		if got != c {
+			t.Fatal("a matching geometry must reuse the cache's storage")
+		}
+		if !reflect.DeepEqual(got, NewCache("t", g, policy)) {
+			t.Fatalf("renewed %v cache differs from a new one", policy)
+		}
+		c.Access(0x40)
+	}
+	wider := g
+	wider.SizeBytes *= 2
+	if RenewCache(c, "t", wider, LRU) == c {
+		t.Fatal("a different geometry must allocate")
+	}
+	if RenewCache(nil, "t", g, LRU) == nil {
+		t.Fatal("a nil cache must allocate")
+	}
 }

@@ -324,6 +324,38 @@ func NewTLBSet(cfg *machine.Config) *TLBSet {
 	}
 }
 
+// RenewTLBSet returns a TLB set in exactly the state NewTLBSet(cfg)
+// builds, resetting s in place when its geometry matches cfg's (see
+// RenewCache) and allocating otherwise.
+func RenewTLBSet(s *TLBSet, cfg *machine.Config) *TLBSet {
+	if s == nil || !s.ITLB.fits(cfg.ITLB) || !s.DTLB.fits(cfg.DTLB) || !s.STLB.fits(cfg.STLB) {
+		return NewTLBSet(cfg)
+	}
+	s.ITLB.reset()
+	s.DTLB.reset()
+	s.STLB.reset()
+	return s
+}
+
+// fits reports whether NewTLB would build t's geometry from g.
+func (t *TLB) fits(g machine.TLBGeom) bool {
+	ways := g.Ways
+	if ways == 0 {
+		ways = g.Entries
+	}
+	return t.ways == ways && t.sets*t.ways == g.Entries && 1<<t.pageBits == g.PageSize
+}
+
+// reset returns t to its freshly built state, keeping storage and the
+// second-level link.
+func (t *TLB) reset() {
+	clear(t.tags)
+	clear(t.ts)
+	clear(t.mru)
+	t.clock = 0
+	t.Stats = TLBStats{}
+}
+
 // Flush invalidates everything.
 func (s *TLBSet) Flush() {
 	s.ITLB.Flush()

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/machine"
@@ -124,4 +125,21 @@ func TestTLBPanicsOnBadGeometry(t *testing.T) {
 		}
 	}()
 	NewTLB("bad", machine.TLBGeom{Entries: 0, PageSize: 4096}, nil)
+}
+
+func TestRenewTLBSetMatchesNew(t *testing.T) {
+	cfg := machine.CoreI9()
+	set := NewTLBSet(cfg)
+	for a := uint64(0); a < 1<<26; a += 4096 * 3 {
+		set.ITLB.Lookup(a)
+		set.DTLB.Lookup(a * 5)
+	}
+	set.DTLB.WarmRange(0, 1<<20)
+	if got := RenewTLBSet(set, cfg); got != set || !reflect.DeepEqual(got, NewTLBSet(cfg)) {
+		t.Fatal("renewing on the same geometry must reset in place to the new state")
+	}
+	arm := machine.Arm()
+	if got := RenewTLBSet(set, arm); got == set || !reflect.DeepEqual(got, NewTLBSet(arm)) {
+		t.Fatal("renewing on a different geometry must allocate a new set")
+	}
 }

@@ -19,6 +19,7 @@
 package mstore
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -140,6 +141,32 @@ type entry struct {
 	Measurements []rec
 }
 
+// marshalEntry returns exactly json.Marshal(entry{FormatVersion, key,
+// recs}), encoding one measurement at a time. encoding/json keeps its
+// encode buffers in a sync.Pool, which survives a garbage collection, so
+// one Marshal of a whole suite would leave a suite-sized buffer pooled in
+// a long-lived daemon; per-measurement encoding bounds it by one record.
+func marshalEntry(key string, recs []rec) ([]byte, error) {
+	k, err := json.Marshal(key)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, `{"Version":%d,"Key":%s,"Measurements":[`, FormatVersion, k)
+	for i := range recs {
+		if i > 0 {
+			buf.WriteByte(',')
+		}
+		b, err := json.Marshal(&recs[i])
+		if err != nil {
+			return nil, err
+		}
+		buf.Write(b)
+	}
+	buf.WriteString("]}")
+	return buf.Bytes(), nil
+}
+
 func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, key+".json")
 }
@@ -218,7 +245,7 @@ func (s *Store) put(ps []workload.Profile, m *machine.Config, opts sim.Options, 
 			recs[i].Err = mm.Err.Error()
 		}
 	}
-	b, err := json.Marshal(entry{Version: FormatVersion, Key: key, Measurements: recs})
+	b, err := marshalEntry(key, recs)
 	if err != nil {
 		return fmt.Errorf("marshal entry %s: %w", key, err)
 	}

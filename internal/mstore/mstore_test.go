@@ -2,6 +2,7 @@ package mstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -90,6 +91,32 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(live.Bytes(), cached.Bytes()) {
 		t.Fatal("cached measurements render a different report")
+	}
+}
+
+// TestMarshalEntryMatchesMarshal: the per-measurement entry encoding is
+// byte-for-byte the one-shot json.Marshal of the entry, failed
+// measurements and an empty suite included.
+func TestMarshalEntryMatchesMarshal(t *testing.T) {
+	ps, m, opts := testInputs()
+	ms := core.MeasureSuite(ps, m, opts)
+	recs := make([]rec, len(ms))
+	for i, mm := range ms {
+		recs[i] = rec{Workload: mm.Workload, Vector: mm.Vector, Result: mm.Result}
+	}
+	recs[1] = rec{Workload: ms[1].Workload, Err: "heap: <OutOfMemory> & more"}
+	for _, rs := range [][]rec{recs, {}} {
+		want, err := json.Marshal(entry{Version: FormatVersion, Key: "k\"ey", Measurements: rs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := marshalEntry("k\"ey", rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("marshalEntry of %d records differs from json.Marshal:\n%.200s\n%.200s", len(rs), got, want)
+		}
 	}
 }
 

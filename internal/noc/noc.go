@@ -18,6 +18,7 @@ import (
 // slices at line granularity, as in Intel's ring/mesh designs.
 type SharedLLC struct {
 	Slices    []*mem.Cache
+	geom      machine.CacheGeom // per-slice geometry
 	sliceMask uint64
 	sliceBits uint
 	lineBits  uint
@@ -65,11 +66,7 @@ func New(cfg *machine.Config, policy mem.ReplacementPolicy) *SharedLLC {
 	if n <= 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("noc: slice count %d must be a positive power of two", n))
 	}
-	sliceGeom := machine.CacheGeom{
-		SizeBytes: cfg.L3.SizeBytes / n,
-		LineBytes: cfg.L3.LineBytes,
-		Ways:      cfg.L3.Ways,
-	}
+	sliceGeom := sliceGeomOf(cfg)
 	lineBits := uint(0)
 	for l := cfg.L3.LineBytes; l > 1; l >>= 1 {
 		lineBits++
@@ -80,6 +77,7 @@ func New(cfg *machine.Config, policy mem.ReplacementPolicy) *SharedLLC {
 	}
 	s := &SharedLLC{
 		Slices:        make([]*mem.Cache, n),
+		geom:          sliceGeom,
 		sliceMask:     uint64(n - 1),
 		sliceBits:     sliceBits,
 		lineBits:      lineBits,
@@ -91,6 +89,34 @@ func New(cfg *machine.Config, policy mem.ReplacementPolicy) *SharedLLC {
 	for i := range s.Slices {
 		s.Slices[i] = mem.NewCache(fmt.Sprintf("LLC-slice%d", i), sliceGeom, policy)
 	}
+	return s
+}
+
+// sliceGeomOf returns the geometry of one of cfg's LLC slices.
+func sliceGeomOf(cfg *machine.Config) machine.CacheGeom {
+	return machine.CacheGeom{
+		SizeBytes: cfg.L3.SizeBytes / cfg.LLCSlices,
+		LineBytes: cfg.L3.LineBytes,
+		Ways:      cfg.L3.Ways,
+	}
+}
+
+// Renew returns a shared LLC in exactly the state New(cfg, policy) builds.
+// When s already has cfg's slice count and slice geometry, its slices are
+// reset in place with mem.RenewCache and reused; otherwise, or when s is
+// nil, a new LLC is allocated.
+func Renew(s *SharedLLC, cfg *machine.Config, policy mem.ReplacementPolicy) *SharedLLC {
+	if s == nil || len(s.Slices) != cfg.LLCSlices || s.geom != sliceGeomOf(cfg) {
+		return New(cfg, policy)
+	}
+	for i, sl := range s.Slices {
+		s.Slices[i] = mem.RenewCache(sl, sl.Name(), s.geom, policy)
+	}
+	s.hashed = false
+	s.portWidth = cfg.SlicePortWidth
+	s.hopLat = cfg.NoCHopLat
+	s.baseLat = cfg.L3Lat
+	s.ResetWindow()
 	return s
 }
 

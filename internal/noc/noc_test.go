@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/machine"
@@ -213,5 +214,23 @@ func TestInsertRangesMatchesInsertLoop(t *testing.T) {
 				t.Fatalf("hashed=%v: access divergence at %#x (op %d)", hashed, a, i)
 			}
 		}
+	}
+}
+
+func TestRenewMatchesNew(t *testing.T) {
+	cfg := machine.CoreI9()
+	s := New(cfg, mem.Random)
+	s.UseHashedPlacement(true)
+	r := rng.New(9)
+	for i := 0; i < 20000; i++ {
+		s.Access(i%8, uint64(r.Intn(1<<28)), 8)
+	}
+	s.InsertRange(0, 1<<20)
+	if got := Renew(s, cfg, mem.LRU); got != s || !reflect.DeepEqual(got, New(cfg, mem.LRU)) {
+		t.Fatal("renewing on the same machine must reset in place to the new state")
+	}
+	xeon := machine.XeonE5()
+	if got := Renew(s, xeon, mem.LRU); got == s || !reflect.DeepEqual(got, New(xeon, mem.LRU)) {
+		t.Fatal("renewing on a different slice geometry must allocate a new LLC")
 	}
 }

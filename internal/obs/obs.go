@@ -61,6 +61,9 @@ func SystemClock() Clock { return systemClock{} }
 type Trace struct {
 	clock    Clock
 	progress io.Writer
+	// progressMu serializes progress lines: spans end on concurrent
+	// workers, and the writer need not be safe for concurrent use.
+	progressMu sync.Mutex
 
 	mu       sync.Mutex
 	start    time.Time
@@ -82,8 +85,9 @@ type Option func(*Trace)
 // WithClock injects a clock (tests use a deterministic fake).
 func WithClock(c Clock) Option { return func(t *Trace) { t.clock = c } }
 
-// WithProgress enables live progress lines for driver- and suite-level
-// spans (depth 0 and 1) on w, conventionally os.Stderr.
+// WithProgress enables live progress lines on w, conventionally
+// os.Stderr, for the sequential pipeline skeleton: the spans opened with
+// Trace.Span (drivers, suite measurements).
 func WithProgress(w io.Writer) Option { return func(t *Trace) { t.progress = w } }
 
 // New returns an enabled trace.
@@ -307,11 +311,13 @@ func (t *Trace) Snapshot() map[string]any {
 	return out
 }
 
-// emitProgress prints driver- and suite-level span boundaries when a
-// progress writer is configured. Deeper spans (per-workload sims) are
-// silent: 2906 lines per suite would drown the signal.
+// emitProgress prints the boundaries of Trace.Span spans (drivers and
+// suite measurements) when a progress writer is configured. Spans opened
+// with Child or ChildLane (per-workload sims and their phases, request
+// spans) are silent wherever the caller nests them: 2906 lines per suite
+// would drown the signal. Lines from concurrent workers are serialized.
 func (t *Trace) emitProgress(s *Span, done bool) {
-	if t == nil || t.progress == nil || s.depth > 1 {
+	if t == nil || t.progress == nil || !s.seq {
 		return
 	}
 	indent := strings.Repeat("  ", s.depth)
@@ -319,6 +325,8 @@ func (t *Trace) emitProgress(s *Span, done bool) {
 	if s.detail != "" {
 		label = s.name + " " + s.detail
 	}
+	t.progressMu.Lock()
+	defer t.progressMu.Unlock()
 	if done {
 		//charnet:ignore errdiscard progress output is best-effort console feedback
 		fmt.Fprintf(t.progress, "charnet: %s%s done in %s\n", indent, label, s.Duration().Round(time.Millisecond))

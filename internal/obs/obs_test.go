@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -202,6 +203,43 @@ func TestProgressOutput(t *testing.T) {
 	}
 	if strings.Contains(got, "sim System.Runtime") {
 		t.Errorf("per-workload spans must not emit progress:\n%s", got)
+	}
+}
+
+// TestProgressConcurrentWorkers is the progress writer's race regression:
+// pool workers open and end per-workload ChildLane spans while suite
+// measurements open and end concurrently, all against one progress writer
+// that is not safe for concurrent use. Under -race an unserialized write
+// fails the test. Per-workload spans stay silent whatever they nest
+// under: here their parents are top-level spans, so a depth filter alone
+// would print them.
+func TestProgressConcurrentWorkers(t *testing.T) {
+	var out strings.Builder
+	tr := New(WithClock(newFakeClock(time.Microsecond)), WithProgress(&out))
+	const workers, jobs = 8, 25
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(lane int) {
+			defer wg.Done()
+			suite := tr.Span("measure", fmt.Sprintf("suite%d", lane))
+			for i := 0; i < jobs; i++ {
+				sim := suite.ChildLane(lane, "sim", "w")
+				sim.Child("run", "").End()
+				sim.End()
+			}
+			suite.End()
+		}(w + 1)
+	}
+	wg.Wait()
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != 2*workers {
+		t.Fatalf("got %d progress lines, want %d (one start and one end per suite):\n%s", len(lines), 2*workers, out.String())
+	}
+	for _, l := range lines {
+		if !strings.HasPrefix(l, "charnet: ") || !strings.Contains(l, "measure suite") {
+			t.Errorf("unexpected progress line %q", l)
+		}
 	}
 }
 

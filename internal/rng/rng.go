@@ -194,11 +194,12 @@ type Zipf struct {
 	r   *Rand
 }
 
-// NewZipf builds a Zipf sampler over [0, n) with exponent s >= 0.
-// s == 0 degenerates to uniform.
-func NewZipf(r *Rand, n int, s float64) *Zipf {
+// ZipfCDF builds the cumulative distribution of a Zipf law over [0, n)
+// with exponent s >= 0 (s == 0 degenerates to uniform). The table is
+// read-only once built, so samplers on many generators can share it.
+func ZipfCDF(n int, s float64) []float64 {
 	if n <= 0 {
-		panic("rng: NewZipf called with n <= 0")
+		panic("rng: ZipfCDF called with n <= 0")
 	}
 	cdf := make([]float64, n)
 	sum := 0.0
@@ -209,6 +210,12 @@ func NewZipf(r *Rand, n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
+	return cdf
+}
+
+// NewZipf builds a sampler drawing from r over a table built by ZipfCDF.
+// Building the sampler consumes no draws from r.
+func NewZipf(r *Rand, cdf []float64) *Zipf {
 	return &Zipf{cdf: cdf, r: r}
 }
 

@@ -251,7 +251,7 @@ func TestBoolEdges(t *testing.T) {
 
 func TestZipfSkew(t *testing.T) {
 	r := New(21)
-	z := NewZipf(r, 100, 1.0)
+	z := NewZipf(r, ZipfCDF(100, 1.0))
 	counts := make([]int, 100)
 	for i := 0; i < 100000; i++ {
 		counts[z.Next()]++
@@ -268,7 +268,7 @@ func TestZipfSkew(t *testing.T) {
 
 func TestZipfUniformDegenerate(t *testing.T) {
 	r := New(22)
-	z := NewZipf(r, 10, 0)
+	z := NewZipf(r, ZipfCDF(10, 0))
 	counts := make([]int, 10)
 	for i := 0; i < 100000; i++ {
 		counts[z.Next()]++

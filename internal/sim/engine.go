@@ -141,9 +141,10 @@ type core struct {
 
 // engine ties the shared structures together.
 type engine struct {
-	p    workload.Profile
-	m    *machine.Config
-	opts Options
+	p     workload.Profile
+	m     *machine.Config
+	opts  Options
+	arena *Arena // storage the engine's structures are renewed from
 
 	cores     []*core
 	sharedLLC *noc.SharedLLC
@@ -215,41 +216,7 @@ type engine struct {
 // configuration errors (OutOfMemory, server-GC reservation) unchanged so
 // experiments can reproduce the paper's missing configurations.
 func Run(p workload.Profile, m *machine.Config, opts Options) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	e := &engine{p: p, m: m, opts: opts}
-	sp := opts.Obs
-	pspan := sp.Child("prewarm", "")
-	err := e.setup()
-	pspan.End()
-	sp.Trace().Observe("sim.phase.prewarm", pspan.Duration())
-	if err != nil {
-		return nil, err
-	}
-
-	perCore := opts.Instructions
-	if perCore == 0 {
-		perCore = DefaultInstructions
-	}
-	rspan := sp.Child("run", "")
-	if !opts.DisableWarmup {
-		e.run(perCore / 4)
-		e.resetStats()
-	}
-	e.nextSample = e.opts.SampleInterval
-	e.run(perCore)
-	rspan.End()
-	sp.Trace().Observe("sim.phase.run", rspan.Duration())
-	res, err := e.finish()
-	if err != nil {
-		return nil, err
-	}
-	sp.Trace().Add("sim.instructions", int64(res.Counters.Instructions))
-	return res, nil
+	return new(Arena).Run(p, m, opts)
 }
 
 func (e *engine) coreCount() int {
@@ -360,17 +327,7 @@ func (e *engine) setup() error {
 	}
 
 	// Kernel code layout, shared by all workloads on a machine.
-	kr := rng.NewFrom(rng.HashString("kernel"), rng.HashString(e.m.Name))
-	e.kernelAddrs = make([]uint64, kernelMethods)
-	e.kernelSizes = make([]int, kernelMethods)
-	knext := uint64(kernelCodeBase)
-	kmean := kernelCodeBytes / kernelMethods
-	for i := range e.kernelAddrs {
-		size := kmean/2 + kr.Intn(kmean)
-		e.kernelAddrs[i] = knext
-		e.kernelSizes[i] = size
-		knext += uint64(size)
-	}
+	e.kernelAddrs, e.kernelSizes = e.arena.kernelLayout(e.m)
 
 	// Kernel episodes average ~140 instructions; solve the entry
 	// probability that yields the profile's kernel share.
@@ -404,7 +361,8 @@ func (e *engine) setup() error {
 	e.mem = ctrl
 
 	if n > 1 {
-		e.sharedLLC = noc.New(e.m, e.opts.Policy)
+		e.arena.llc = noc.Renew(e.arena.llc, e.m, e.opts.Policy)
+		e.sharedLLC = e.arena.llc
 		e.sharedLLC.UseHashedPlacement(e.opts.Assist.HashedSlicePlacement)
 	}
 	// Per-instruction invariants (see the engine struct comment): each is
@@ -432,23 +390,20 @@ func (e *engine) setup() error {
 	if e.p.Managed && e.m.StackFriction > 2 {
 		methodZipf *= 0.45
 	}
+	// Popularity tables are per workload, not per core: every core samples
+	// the same two distributions from its own generator.
+	dcdf := rng.ZipfCDF(dataBuckets, e.p.DataZipf)
+	mcdf := rng.ZipfCDF(dataBuckets, methodZipf)
 	e.cores = make([]*core, n)
 	for i := 0; i < n; i++ {
 		r := rng.NewFrom(e.p.Seed(), rng.HashString(e.m.Name), e.opts.SeedSalt, uint64(100+i))
 		c := &core{
 			id:    i,
 			r:     r,
-			dzipf: rng.NewZipf(r, dataBuckets, e.p.DataZipf),
-			mzipf: rng.NewZipf(r, dataBuckets, methodZipf),
-			l1i:   mem.NewCache("L1I", e.m.L1I, e.opts.Policy),
-			l1d:   mem.NewCache("L1D", e.m.L1D, e.opts.Policy),
-			l2:    mem.NewCache("L2", e.m.L2, e.opts.Policy),
-			tlbs:  mem.NewTLBSet(e.m),
-			bp:    branch.New(13, e.m.BTBEntries, 4),
+			dzipf: rng.NewZipf(r, dcdf),
+			mzipf: rng.NewZipf(r, mcdf),
 		}
-		if e.sharedLLC == nil {
-			c.l3 = mem.NewCache("L3", e.m.L3, e.opts.Policy)
-		}
+		e.arena.renewCore(c, e.m, e.opts.Policy, e.sharedLLC == nil)
 		c.callIn = e.callGap(c)
 		e.switchMethod(c)
 		c.seqAddr = e.dataBase(c) + uint64(c.r.Intn(1<<16))

@@ -5,7 +5,8 @@
 # simulator micro-benchmarks), records a BENCH_<rev>.json snapshot via
 # cmd/benchdiff, and compares it against the most recent record committed
 # on an ancestor revision. Exits nonzero if any benchmark regressed more
-# than the tolerance (default 10%).
+# than the tolerance (default 10%), or if its B/op or allocs/op grew more
+# than 5% (they are deterministic, so that gate is tight and fixed).
 #
 # Also records top-level pipeline phase wall-times: one `charnet
 # -profile-json` run of every figure lands phase:<name> entries in the
@@ -41,7 +42,7 @@ echo "== charnetd serving selftest (rev ${rev})"
 go run ./cmd/charnetd -addr 127.0.0.1:0 -selftest -selftest-json "$loadgen" 2> /dev/null
 
 echo "== go test -bench (rev ${rev})"
-go test -run=NONE -bench="${BENCH:-.}" -benchtime="${BENCHTIME:-1s}" \
+go test -run=NONE -bench="${BENCH:-.}" -benchmem -benchtime="${BENCHTIME:-1s}" \
     -count="${COUNT:-3}" ./... |
     go run ./cmd/benchdiff record -rev "$rev" -phases "$phases,$loadgen" -out "$out"
 echo "recorded $out"
