@@ -25,6 +25,8 @@
 package charnet
 
 import (
+	"context"
+
 	"repro/internal/clr"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -154,9 +156,14 @@ const (
 	Ward     = cluster.Ward
 )
 
-// MeasureSuite measures every workload of a suite on a machine.
+// MeasureSuite measures every workload of a suite on a machine, on a
+// GOMAXPROCS-wide worker pool. Per-workload failures land in
+// Measurement.Err; the suite as a whole cannot fail, since nothing can
+// cancel it.
 func MeasureSuite(ps []Profile, m *Machine, opts Options) []Measurement {
-	return core.MeasureSuite(ps, m, opts)
+	//charnet:ignore errdiscard a background context cannot be cancelled, so the only error source is off
+	ms, _ := core.Measure(context.Background(), nil, ps, m, opts, 0) //charnet:ignore ctxflow the facade's uncancellable entry point; cancellable callers measure through an experiments.Lab
+	return ms
 }
 
 // Characterize fits the §IV pipeline: PCA over 24-metric vectors, top-PC

@@ -7,7 +7,7 @@
 //	charnet [-full] [-cache DIR] [-workers N] [-format text|json|csv]
 //	        [-suite-spec FILE]... [-trace-out FILE] [-events-out FILE]
 //	        [-profile-json FILE] [-telemetry-out FILE] [-progress]
-//	        [-telemetry-addr ADDR] [-pprof ADDR] <command>
+//	        [-telemetry-addr ADDR] <command>
 //
 // Suites are data: -suite-spec FILE (repeatable) loads a declarative
 // workload-spec JSON file (see docs/WORKLOADS.md) and registers its suite
@@ -44,7 +44,6 @@
 //	                     (Prometheus text format), /healthz, /infoz,
 //	                     /debug/vars and /debug/pprof/*. The bound address
 //	                     is announced on stderr, so ":0" works.
-//	-pprof ADDR          deprecated alias for -telemetry-addr
 //
 // Any of these (except -workers) also prints the end-of-run text
 // self-profile tree on stderr.
@@ -100,7 +99,6 @@ func main() {
 	progress := flag.Bool("progress", false, "live per-driver/per-suite progress on stderr")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /healthz, expvar and pprof on this address (\":0\" picks a port, announced on stderr)")
 	telemetryOut := flag.String("telemetry-out", "", "write the telemetry run-report artifact as JSON")
-	pprofAddr := flag.String("pprof", "", "deprecated alias for -telemetry-addr")
 	var suiteSpecs multiFlag
 	flag.Var(&suiteSpecs, "suite-spec", "register an external suite from a workload-spec JSON file (repeatable)")
 	flag.Usage = usage
@@ -132,15 +130,10 @@ func main() {
 		lab.Registry = reg
 	}
 
-	serveAddr := *telemetryAddr
-	if serveAddr == "" {
-		serveAddr = *pprofAddr
-	}
-
 	// The trace exists only when some observability output was requested:
 	// an untraced run keeps the nil no-op path everywhere.
 	var tr *obs.Trace
-	if *traceOut != "" || *eventsOut != "" || *profileJSON != "" || *telemetryOut != "" || *progress || serveAddr != "" {
+	if *traceOut != "" || *eventsOut != "" || *profileJSON != "" || *telemetryOut != "" || *progress || *telemetryAddr != "" {
 		var opts []obs.Option
 		if *progress {
 			opts = append(opts, obs.WithProgress(os.Stderr))
@@ -150,13 +143,13 @@ func main() {
 	}
 
 	stopTelemetry := func() {}
-	if serveAddr != "" {
+	if *telemetryAddr != "" {
 		fidelity := "quick"
 		if *full {
 			fidelity = "full"
 		}
 		info := telemetry.Info{Role: "cli", Command: flag.Arg(0), Fidelity: fidelity, Format: *format, Workers: *workers}
-		stop, err := serveTelemetry(serveAddr, tr, info)
+		stop, err := serveTelemetry(*telemetryAddr, tr, info)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "charnet: telemetry: %v\n", err)
 			os.Exit(1)
@@ -317,7 +310,7 @@ func dispatch(ctx context.Context, lab *experiments.Lab, cmd string, args []stri
 		if len(args) > 1 {
 			f = args[1]
 		}
-		return inDriverSpan(lab, cmd, func() error { return exportSuite(lab, args[0], f, out) })
+		return inDriverSpan(lab, cmd, func() error { return exportSuite(ctx, lab, args[0], f, out) })
 	case "all":
 		var arts []*artifact.Artifact
 		for _, d := range experiments.Drivers() {
@@ -466,13 +459,18 @@ func traceOne(lab *experiments.Lab, name string, out io.Writer) error {
 	return report.WriteSamplesCSV(out, report.FromSamples(res.Samples))
 }
 
-// exportSuite measures a whole suite and streams records to out.
-func exportSuite(lab *experiments.Lab, suiteName, format string, out io.Writer) error {
+// exportSuite measures a suite on the i9 through the Lab, as every driver
+// does (the suite's measurement policy, the store, cancellation and
+// tracing all apply), and streams its records to out.
+func exportSuite(ctx context.Context, lab *experiments.Lab, suiteName, format string, out io.Writer) error {
 	def, ok := lab.Suite(suiteName)
 	if !ok {
 		return fmt.Errorf("unknown suite %q (want one of %v)", suiteName, lab.SuiteNames())
 	}
-	ms := charnet.MeasureSuite(def.Profiles(), charnet.CoreI9(), charnet.Options{Instructions: lab.Cfg.Instructions})
+	ms, err := lab.MeasureSuite(ctx, def, machine.CoreI9())
+	if err != nil {
+		return err
+	}
 	recs := report.FromMeasurements(ms)
 	switch format {
 	case "csv":

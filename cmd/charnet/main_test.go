@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/mstore"
 	"repro/internal/obs"
 )
 
@@ -124,6 +125,53 @@ func TestExportArgs(t *testing.T) {
 	}
 	if err := run(lab, "export", []string{"spec", "json"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExportThroughLab: export measures through the Lab, so two runs in
+// separate Labs sharing one store emit identical bytes and the second is
+// served from the store without simulating, and a sampled suite exports
+// the Lab's sampled set rather than every workload.
+func TestExportThroughLab(t *testing.T) {
+	dir := t.TempDir()
+	export := func(suite string) ([]byte, *obs.Trace) {
+		t.Helper()
+		store, err := mstore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lab := tinyLab()
+		lab.Obs = obs.New()
+		store.Obs = lab.Obs
+		lab.Store = store
+		var out bytes.Buffer
+		if err := dispatch(context.Background(), lab, "export", []string{suite, "json"}, "text", &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes(), lab.Obs
+	}
+	cold, coldTr := export("spec")
+	warm, warmTr := export("spec")
+	if !bytes.Equal(cold, warm) {
+		t.Fatal("export bytes differ between a cold and a store-served run")
+	}
+	if coldTr.Counter("sim.instructions") == 0 {
+		t.Fatal("cold export simulated nothing")
+	}
+	if n := warmTr.Counter("mstore.hits"); n == 0 {
+		t.Fatal("warm export was not served from the store")
+	}
+	if n := warmTr.Counter("sim.instructions"); n != 0 {
+		t.Fatalf("warm export simulated %d instructions, want 0", n)
+	}
+
+	sampled, _ := export("dotnet-individual")
+	var recs []json.RawMessage
+	if err := json.Unmarshal(sampled, &recs); err != nil {
+		t.Fatal(err)
+	}
+	if want := tinyLab().Cfg.DotNetIndividualLimit; len(recs) != want {
+		t.Fatalf("dotnet-individual exported %d records, want the sampled %d", len(recs), want)
 	}
 }
 

@@ -47,43 +47,29 @@ type MeasurementCache interface {
 	Put(ps []workload.Profile, m *machine.Config, opts sim.Options, ms []Measurement)
 }
 
-// MeasureSuite runs every workload of a suite on the machine and collects
-// normalized metric vectors. Workloads run concurrently (they are
-// independent processes in the paper's methodology); results are ordered
-// and deterministic regardless of scheduling.
-func MeasureSuite(ps []workload.Profile, m *machine.Config, opts sim.Options) []Measurement {
-	return MeasureSuiteWorkers(ps, m, opts, 0)
-}
-
-// MeasureSuiteCached is MeasureSuite behind an optional cache: a hit
-// returns the stored measurements, a miss measures and stores. A nil cache
-// degrades to plain measurement.
-func MeasureSuiteCached(cache MeasurementCache, ps []workload.Profile, m *machine.Config, opts sim.Options) []Measurement {
-	return MeasureSuiteCachedWorkers(cache, ps, m, opts, 0)
-}
-
-// MeasureSuiteCachedWorkers is MeasureSuiteCached with an explicit worker
-// count for the measurement pool (0 = GOMAXPROCS).
-func MeasureSuiteCachedWorkers(cache MeasurementCache, ps []workload.Profile, m *machine.Config, opts sim.Options, workers int) []Measurement {
-	//charnet:ignore errdiscard a background context cannot be cancelled, so the only error source is off
-	ms, _ := MeasureSuiteCtx(context.Background(), cache, ps, m, opts, workers) //charnet:ignore ctxflow pre-context compat shim: documented as uncancellable; cancellable callers use MeasureSuiteCtx
-	return ms
-}
-
-// MeasureSuiteCtx is the full measurement seam: an optional cache, an
-// explicit worker count, and a context that aborts the suite. On a cache
-// hit the stored measurements return immediately; on a miss the suite is
-// measured and stored. A cancelled context returns ctx.Err() within one
-// workload's sim time — in-flight simulations finish, queued ones never
-// start — and nothing is written to the cache, so a cancelled measurement
-// can never land a torn entry.
-func MeasureSuiteCtx(ctx context.Context, cache MeasurementCache, ps []workload.Profile, m *machine.Config, opts sim.Options, workers int) ([]Measurement, error) {
+// Measure is the one suite-measurement entry point: it runs every
+// workload of ps on m and collects normalized metric vectors. Workloads
+// run concurrently on a pool of workers (0 = GOMAXPROCS); they are
+// independent processes in the paper's methodology, so results are
+// ordered and identical for any worker count.
+//
+// An optional cache fronts the pool: a hit returns the stored
+// measurements, a miss measures and stores. A cancelled context returns
+// ctx.Err() within one workload's sim time (in-flight simulations finish,
+// queued ones never start) and nothing is written to the cache, so a
+// cancelled measurement can never land a torn entry.
+//
+// When opts.Obs carries a suite-measurement span, every workload gets a
+// "sim" child span on its worker's lane and the pool reports utilization
+// (summed busy time over workers x wall time) as the "pool.utilization"
+// gauge. None of this instrumentation affects the measurements.
+func Measure(ctx context.Context, cache MeasurementCache, ps []workload.Profile, m *machine.Config, opts sim.Options, workers int) ([]Measurement, error) {
 	if cache != nil {
 		if ms, ok := cache.Get(ps, m, opts); ok {
 			return ms, nil
 		}
 	}
-	ms, err := measureSuiteWorkersCtx(ctx, ps, m, opts, workers)
+	ms, err := measurePool(ctx, ps, m, opts, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -93,27 +79,13 @@ func MeasureSuiteCtx(ctx context.Context, cache MeasurementCache, ps []workload.
 	return ms, nil
 }
 
-// MeasureSuiteWorkers is MeasureSuite with an explicit worker count
-// (0 = GOMAXPROCS). The result is identical for any worker count: each
-// workload simulation is fully independent and lands in its input slot.
-//
-// When opts.Obs carries a suite-measurement span, every workload gets a
-// "sim" child span on its worker's lane and the pool reports utilization
-// (summed busy time over workers x wall time) as the "pool.utilization"
-// gauge. None of this instrumentation affects the measurements.
-func MeasureSuiteWorkers(ps []workload.Profile, m *machine.Config, opts sim.Options, workers int) []Measurement {
-	//charnet:ignore errdiscard a background context cannot be cancelled, so the only error source is off
-	ms, _ := measureSuiteWorkersCtx(context.Background(), ps, m, opts, workers) //charnet:ignore ctxflow pre-context compat shim: documented as uncancellable; cancellable callers use MeasureSuiteCtx
-	return ms
-}
-
-// measureSuiteWorkersCtx runs the measurement worker pool under a
-// context. Cancellation is checked at the per-workload boundary: the
-// feeder stops handing out jobs and idle workers skip any job already in
-// hand, so the pool drains within one workload's sim time. A cancelled
-// run returns (nil, ctx.Err()) — partial results are discarded rather
-// than handed to callers that expect a complete suite.
-func measureSuiteWorkersCtx(ctx context.Context, ps []workload.Profile, m *machine.Config, opts sim.Options, workers int) ([]Measurement, error) {
+// measurePool runs the measurement worker pool under a context.
+// Cancellation is checked at the per-workload boundary: the feeder stops
+// handing out jobs and idle workers skip any job already in hand, so the
+// pool drains within one workload's sim time. A cancelled run returns
+// (nil, ctx.Err()) — partial results are discarded rather than handed to
+// callers that expect a complete suite.
+func measurePool(ctx context.Context, ps []workload.Profile, m *machine.Config, opts sim.Options, workers int) ([]Measurement, error) {
 	out := make([]Measurement, len(ps))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -14,6 +14,17 @@ import (
 	"repro/internal/workload"
 )
 
+// mustMeasure runs Measure with no cache on the default pool and fails
+// the test on a suite-level error.
+func mustMeasure(t *testing.T, ps []workload.Profile, m *machine.Config, opts sim.Options) []Measurement {
+	t.Helper()
+	ms, err := Measure(context.Background(), nil, ps, m, opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ms
+}
+
 // measureCats measures the first n .NET categories at low fidelity.
 func measureCats(t *testing.T, n int) []Measurement {
 	t.Helper()
@@ -21,7 +32,7 @@ func measureCats(t *testing.T, n int) []Measurement {
 	if n > len(cats) {
 		n = len(cats)
 	}
-	ms := MeasureSuite(cats[:n], machine.CoreI9(), sim.Options{Instructions: 8000})
+	ms := mustMeasure(t, cats[:n], machine.CoreI9(), sim.Options{Instructions: 8000})
 	for _, m := range ms {
 		if m.Err != nil {
 			t.Fatalf("%s failed: %v", m.Workload.Name, m.Err)
@@ -46,7 +57,7 @@ func TestMeasureSuiteOrderAndDeterminism(t *testing.T) {
 func TestMeasureSuiteCapturesErrors(t *testing.T) {
 	p, _ := workload.ByName(workload.DotNetCategories(), "System.Collections")
 	p.WorkingSetBytes = 190 << 20
-	ms := MeasureSuite([]workload.Profile{p}, machine.CoreI9(),
+	ms := mustMeasure(t, []workload.Profile{p}, machine.CoreI9(),
 		sim.Options{Instructions: 1000, MaxHeapBytes: 200 << 20})
 	if ms[0].Err == nil {
 		t.Fatal("expected OOM error to be captured")
@@ -111,7 +122,7 @@ func TestGroupPCA(t *testing.T) {
 
 func TestSpreadRatioSPECWider(t *testing.T) {
 	// §V-C: SPEC's control-flow spread exceeds the managed suites'.
-	specMs := MeasureSuite(workload.SpecWorkloads()[:10], machine.CoreI9(), sim.Options{Instructions: 8000})
+	specMs := mustMeasure(t, workload.SpecWorkloads()[:10], machine.CoreI9(), sim.Options{Instructions: 8000})
 	dnMs := measureCats(t, 10)
 	specVs, _ := Vectors(specMs)
 	dnVs, _ := Vectors(dnMs)
@@ -128,8 +139,8 @@ func TestExecutionTimesAndValidationFlow(t *testing.T) {
 	// End-to-end §IV-C: measure on two machines, validate a subset.
 	cats := workload.DotNetCategories()[:8]
 	opts := sim.Options{Instructions: 6000}
-	base := MeasureSuite(cats, machine.XeonE5(), opts)
-	fast := MeasureSuite(cats, machine.CoreI9(), opts)
+	base := mustMeasure(t, cats, machine.XeonE5(), opts)
+	fast := mustMeasure(t, cats, machine.CoreI9(), opts)
 	bt := ExecutionTimes(base)
 	ft := ExecutionTimes(fast)
 	scores, err := subset.Scores(bt, ft)
@@ -203,13 +214,13 @@ func (c *fakeCache) Put(_ []workload.Profile, _ *machine.Config, _ sim.Options, 
 	c.puts++
 }
 
-// TestMeasureSuiteCtxPreCancelled: a context that is already cancelled
-// must yield no measurements, the context error, and no cache write.
-func TestMeasureSuiteCtxPreCancelled(t *testing.T) {
+// TestMeasurePreCancelled: a context that is already cancelled must
+// yield no measurements, the context error, and no cache write.
+func TestMeasurePreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cache := &fakeCache{}
-	ms, err := MeasureSuiteCtx(ctx, cache, workload.DotNetCategories()[:4],
+	ms, err := Measure(ctx, cache, workload.DotNetCategories()[:4],
 		machine.CoreI9(), sim.Options{Instructions: 2000}, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -222,23 +233,23 @@ func TestMeasureSuiteCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// TestMeasureSuiteCtxBackground: the ctx path with a live context matches
-// the classic entry point exactly.
-func TestMeasureSuiteCtxBackground(t *testing.T) {
+// TestMeasureWorkerCountInvariant: two workers and the default pool
+// (workers=0, GOMAXPROCS) measure the same vectors in the same order.
+func TestMeasureWorkerCountInvariant(t *testing.T) {
 	ps := workload.DotNetCategories()[:4]
 	m := machine.CoreI9()
 	opts := sim.Options{Instructions: 2000}
-	got, err := MeasureSuiteCtx(context.Background(), nil, ps, m, opts, 2)
+	got, err := Measure(context.Background(), nil, ps, m, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := MeasureSuite(ps, m, opts)
+	want := mustMeasure(t, ps, m, opts)
 	if len(got) != len(want) {
 		t.Fatalf("got %d measurements, want %d", len(got), len(want))
 	}
 	for i := range got {
-		if got[i].Vector != want[i].Vector {
-			t.Fatalf("%s: ctx and classic paths diverge", got[i].Workload.Name)
+		if got[i].Workload.Name != want[i].Workload.Name || got[i].Vector != want[i].Vector {
+			t.Fatalf("%s: workers=2 and workers=0 diverge", got[i].Workload.Name)
 		}
 	}
 }
@@ -259,7 +270,7 @@ func TestSuiteMeasurementReusesAndReleasesEngineStorage(t *testing.T) {
 	opts := sim.Options{Instructions: 1000}
 	measure := func(ps []workload.Profile) []Measurement {
 		t.Helper()
-		ms, err := MeasureSuiteCtx(context.Background(), nil, ps, m, opts, 1)
+		ms, err := Measure(context.Background(), nil, ps, m, opts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,14 +20,20 @@ func TestMeasureSuiteObs(t *testing.T) {
 	m := machine.CoreI9()
 	opts := sim.Options{Instructions: 3000}
 
-	ref := MeasureSuiteWorkers(ps, m, opts, 2)
+	ref, err := Measure(context.Background(), nil, ps, m, opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	tr := obs.New()
 	suite := tr.Span("measure", "test-suite")
 	o := opts
 	o.Obs = suite
-	got := MeasureSuiteWorkers(ps, m, o, 2)
+	got, err := Measure(context.Background(), nil, ps, m, o, 2)
 	suite.End()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if !reflect.DeepEqual(got, ref) {
 		t.Fatal("instrumentation changed the measurements")
@@ -61,16 +68,22 @@ func TestMeasureSuiteObs(t *testing.T) {
 	}
 }
 
-// TestMeasureSuiteCachedWorkers: the workers parameter reaches the pool
-// and a warm cache answers without re-measuring.
-func TestMeasureSuiteCachedWorkers(t *testing.T) {
+// TestMeasureCacheWorkers: the workers parameter reaches the pool and a
+// warm cache answers without re-measuring.
+func TestMeasureCacheWorkers(t *testing.T) {
 	ps := workload.DotNetCategories()[:4]
 	m := machine.CoreI9()
 	opts := sim.Options{Instructions: 3000}
 	cache := &countingCache{}
 
-	first := MeasureSuiteCachedWorkers(cache, ps, m, opts, 3)
-	warm := MeasureSuiteCachedWorkers(cache, ps, m, opts, 3)
+	first, err := Measure(context.Background(), cache, ps, m, opts, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := Measure(context.Background(), cache, ps, m, opts, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cache.puts != 1 || cache.gets != 2 {
 		t.Fatalf("cache traffic gets=%d puts=%d, want 2/1", cache.gets, cache.puts)
 	}

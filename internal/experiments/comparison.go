@@ -33,9 +33,9 @@ func (l *Lab) subsetVectors(ctx context.Context) (dn, asp, spec []core.Measureme
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return subsetMeasurements(cats, TableIVDotNetSubset),
-		subsetMeasurements(aspAll, TableIVAspNetSubset),
-		subsetMeasurements(specAll, TableIVSpecSubset), nil
+	return FilterMeasurements(cats, TableIVDotNetSubset),
+		FilterMeasurements(aspAll, TableIVAspNetSubset),
+		FilterMeasurements(specAll, TableIVSpecSubset), nil
 }
 
 // Figure3Result reproduces Fig 3: the kernel-instruction fraction of each
@@ -361,8 +361,8 @@ func Figure7(ctx context.Context, l *Lab) (*Figure7Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	x86 := subsetMeasurements(x86Cats, TableIVDotNetSubset)
-	arm := subsetMeasurements(armCats, TableIVDotNetSubset)
+	x86 := FilterMeasurements(x86Cats, TableIVDotNetSubset)
+	arm := FilterMeasurements(armCats, TableIVDotNetSubset)
 	vx, _ := core.Vectors(x86)
 	va, _ := core.Vectors(arm)
 	if len(vx) < 2 || len(va) < 2 {

@@ -85,22 +85,13 @@ type Lab struct {
 	Obs *obs.Trace
 
 	mu    sync.Mutex
-	cache map[string]*measureEntry
-	memo  map[string]*memoEntry
+	cells map[string]*cell
 }
 
-// measureEntry is a singleflight cell: the first caller for a key creates
-// it and measures; later callers wait on done and share the result — or
-// the error, when the leader's context was cancelled mid-measurement.
-type measureEntry struct {
-	done chan struct{}
-	ms   []core.Measurement
-	err  error
-}
-
-// memoEntry is the singleflight cell for derived results shared between
-// drivers (see Lab.once).
-type memoEntry struct {
+// cell is the Lab's singleflight cell: the first caller for a key creates
+// it and computes; later callers wait on done and share the value — or
+// the error, when the leader's context was cancelled mid-computation.
+type cell struct {
 	done chan struct{}
 	val  any
 	err  error
@@ -108,69 +99,61 @@ type memoEntry struct {
 
 // NewLab builds a Lab with the given fidelity.
 func NewLab(cfg Config) *Lab {
-	return &Lab{Cfg: cfg, cache: make(map[string]*measureEntry), memo: make(map[string]*memoEntry)}
+	return &Lab{Cfg: cfg, cells: make(map[string]*cell)}
 }
 
+// measure is the Lab's one suite-measurement path: a singleflight on key
+// in front of core.Measure, with the Lab's store, worker count and a
+// "measure <key>" span. Later callers are served from memory and counted
+// as memory-cache hits or, while the measurement is in flight, as
+// coalesced waiters.
 func (l *Lab) measure(ctx context.Context, key string, ps []workload.Profile, m *machine.Config, opts sim.Options) ([]core.Measurement, error) {
+	v, err := l.once(ctx, key, l.Obs, func(ctx context.Context) (any, error) {
+		span := l.Obs.Span("measure", key)
+		opts.Obs = span
+		ms, err := core.Measure(ctx, l.Store, ps, m, opts, l.Cfg.Workers)
+		span.End()
+		l.Obs.Observe("measure.latency", span.Duration())
+		return ms, err
+	})
+	ms, _ := v.([]core.Measurement)
+	return ms, err
+}
+
+// once runs f at most once per key and shares the result: concurrent
+// callers wait for the leader, a failed computation (in practice, a
+// cancelled one) is evicted so later callers retry, and a successful one
+// is served from memory forever after. Suite measurements and derived
+// results two drivers share (Figs 11 and 12 both consume the ASP.NET
+// core-count sweep) live in the same map. A non-nil tr counts how each
+// follower was served: "lab.memcache.hits" for a finished cell,
+// "lab.singleflight.coalesced" plus the "measure.singleflight.wait"
+// histogram for one still in flight.
+func (l *Lab) once(ctx context.Context, key string, tr *obs.Trace, f func(context.Context) (any, error)) (any, error) {
 	l.mu.Lock()
-	if e, ok := l.cache[key]; ok {
+	if e, ok := l.cells[key]; ok {
 		l.mu.Unlock()
 		select {
 		case <-e.done:
-			l.Obs.Add("lab.memcache.hits", 1)
+			tr.Add("lab.memcache.hits", 1)
 		default:
-			// A measurement of this key is in flight: wait it out rather
-			// than duplicating the full-suite simulation. If the leader's
-			// context gets cancelled we inherit its error; the failed entry
-			// is evicted, so a later uncancelled call re-measures.
-			l.Obs.Add("lab.singleflight.coalesced", 1)
-			waitStart := l.Obs.Now()
+			tr.Add("lab.singleflight.coalesced", 1)
+			waitStart := tr.Now()
 			<-e.done
-			l.Obs.Observe("measure.singleflight.wait", l.Obs.Now().Sub(waitStart))
+			tr.Observe("measure.singleflight.wait", tr.Now().Sub(waitStart))
 		}
-		return e.ms, e.err
-	}
-	e := &measureEntry{done: make(chan struct{})}
-	l.cache[key] = e
-	l.mu.Unlock()
-	span := l.Obs.Span("measure", key)
-	opts.Obs = span
-	e.ms, e.err = core.MeasureSuiteCtx(ctx, l.Store, ps, m, opts, l.Cfg.Workers)
-	span.End()
-	l.Obs.Observe("measure.latency", span.Duration())
-	if e.err != nil {
-		// Evict before releasing waiters: an entry that failed (in practice,
-		// was cancelled) must not poison the key for future callers. A
-		// caller racing the eviction either holds e (and sees the error) or
-		// misses the map and measures fresh — both are correct.
-		l.mu.Lock()
-		delete(l.cache, key)
-		l.mu.Unlock()
-	}
-	close(e.done)
-	return e.ms, e.err
-}
-
-// once runs f at most once per key and shares the result, under the same
-// singleflight-with-eviction discipline as measure: concurrent callers
-// wait for the leader, a failed computation is evicted so later callers
-// retry, and a successful one is served from memory forever after. It
-// exists for derived results two drivers share — Figs 11 and 12 both
-// consume the ASP.NET core-count sweep.
-func (l *Lab) once(ctx context.Context, key string, f func(context.Context) (any, error)) (any, error) {
-	l.mu.Lock()
-	if e, ok := l.memo[key]; ok {
-		l.mu.Unlock()
-		<-e.done
 		return e.val, e.err
 	}
-	e := &memoEntry{done: make(chan struct{})}
-	l.memo[key] = e
+	e := &cell{done: make(chan struct{})}
+	l.cells[key] = e
 	l.mu.Unlock()
 	e.val, e.err = f(ctx)
 	if e.err != nil {
+		// Evict before releasing waiters: a failed cell must not poison
+		// the key. A caller racing the eviction either holds e (and sees
+		// the error) or misses the map and computes fresh — both correct.
 		l.mu.Lock()
-		delete(l.memo, key)
+		delete(l.cells, key)
 		l.mu.Unlock()
 	}
 	close(e.done)
@@ -285,9 +268,21 @@ func selectionID(ws []workload.Profile) string {
 	return fmt.Sprintf("%d-%016x", len(ws), h.Sum64())
 }
 
-// subsetMeasurements filters measurements to the named workloads, in the
-// given order. Missing names are skipped.
-func subsetMeasurements(ms []core.Measurement, names []string) []core.Measurement {
+// optionsID digests simulator options, bar the tracing span, into a
+// short stable cache-key component.
+func optionsID(opts sim.Options) string {
+	opts.Obs = nil
+	h := fnv.New64a()
+	//charnet:ignore errdiscard hash.Hash.Write is documented to never return an error
+	fmt.Fprintf(h, "%+v", opts)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// FilterMeasurements returns the measurements for the named workloads,
+// in the given order, skipping names the suite does not contain. The
+// Table IV drivers use it to pick the paper's subsets, and serving
+// requests to pick the workloads they ask for.
+func FilterMeasurements(ms []core.Measurement, names []string) []core.Measurement {
 	byName := make(map[string]core.Measurement, len(ms))
 	for _, m := range ms {
 		byName[m.Workload.Name] = m

@@ -2,12 +2,16 @@ package experiments
 
 import (
 	"context"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/mstore"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -112,7 +116,7 @@ func TestOnceMemo(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			vals[i], _ = lab.once(context.Background(), "memo-key", f)
+			vals[i], _ = lab.once(context.Background(), "memo-key", nil, f)
 		}(i)
 	}
 	wg.Wait()
@@ -127,12 +131,12 @@ func TestOnceMemo(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := lab.once(ctx, "memo-err", func(ctx context.Context) (any, error) {
+	if _, err := lab.once(ctx, "memo-err", nil, func(ctx context.Context) (any, error) {
 		return nil, ctx.Err()
 	}); err == nil {
 		t.Fatal("erroring memo should fail")
 	}
-	v, err := lab.once(context.Background(), "memo-err", func(context.Context) (any, error) {
+	v, err := lab.once(context.Background(), "memo-err", nil, func(context.Context) (any, error) {
 		return 42, nil
 	})
 	if err != nil || v != 42 {
@@ -184,5 +188,92 @@ func TestDotNetIndividualKeyedOnSelection(t *testing.T) {
 	// workloads past index 0).
 	if a[1].Workload.Name == b[1].Workload.Name {
 		t.Fatalf("different limits picked the same second workload %q — key collision suspected", a[1].Workload.Name)
+	}
+}
+
+// TestSensitivityThroughStore: the Sensitivity sweep measures through the
+// Lab, so a second Lab sharing the first one's store reproduces the
+// result without simulating, and no two configurations share a Lab key.
+func TestSensitivityThroughStore(t *testing.T) {
+	store, err := mstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func() (*SensitivityResult, *obs.Trace) {
+		t.Helper()
+		lab := NewLab(Config{Instructions: 2000})
+		lab.Obs = obs.New()
+		store.Obs = lab.Obs
+		lab.Store = store
+		res, err := Sensitivity(context.Background(), lab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, lab.Obs
+	}
+	cold, coldTr := sweep()
+	warm, warmTr := sweep()
+
+	measurements := int64(3 * len(cold.Rows))
+	if n := coldTr.Counter("mstore.puts"); n != measurements {
+		t.Fatalf("cold sweep stored %d suite measurements, want %d (one per config and subset)", n, measurements)
+	}
+	if n := coldTr.Counter("lab.memcache.hits"); n != 0 {
+		t.Fatalf("cold sweep hit the Lab's memory %d times: two configurations share a key", n)
+	}
+	base := cold.Rows[0]
+	for _, row := range cold.Rows {
+		if (row.Config == "half-fidelity" || row.Config == "double-fidelity") && row.KernelGap == base.KernelGap && row.LLCRatio == base.LLCRatio {
+			t.Errorf("%s row equals baseline: its measurements were shared", row.Config)
+		}
+	}
+
+	if !reflect.DeepEqual(cold, warm) {
+		t.Fatal("store-served sweep differs from the measured one")
+	}
+	if n := warmTr.Counter("mstore.hits"); n != measurements {
+		t.Fatalf("warm sweep read %d store entries, want %d", n, measurements)
+	}
+	if n := warmTr.Counter("sim.instructions"); n != 0 {
+		t.Fatalf("warm sweep simulated %d instructions, want 0", n)
+	}
+}
+
+// TestMeasureMemoryHitIsFree: once a key is measured, serving it again
+// from the Lab's memory opens no span and allocates nothing.
+func TestMeasureMemoryHitIsFree(t *testing.T) {
+	lab := NewLab(Config{Instructions: 2000})
+	lab.Obs = obs.New()
+	m := machine.CoreI9()
+	ps := workload.DotNetCategories()[:2]
+	opts := sim.Options{Instructions: 2000}
+	ctx := context.Background()
+	if _, err := lab.measure(ctx, "hit-key", ps, m, opts); err != nil {
+		t.Fatal(err)
+	}
+	measureSpans := func() int {
+		var b strings.Builder
+		if err := lab.Obs.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(b.String(), `"name":"measure"`)
+	}
+	spans := measureSpans()
+	if spans != 1 {
+		t.Fatalf("first measurement opened %d measure spans, want 1", spans)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := lab.measure(ctx, "hit-key", ps, m, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("memory-cache hit allocated %.1f times per call, want 0", allocs)
+	}
+	if n := measureSpans(); n != spans {
+		t.Errorf("memory-cache hits opened %d spans, want 0", n-spans)
+	}
+	if n := lab.Obs.Counter("lab.memcache.hits"); n < 100 {
+		t.Errorf("lab.memcache.hits = %d, want every hit counted", n)
 	}
 }

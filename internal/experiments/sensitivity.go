@@ -72,24 +72,27 @@ func Sensitivity(ctx context.Context, l *Lab) (*SensitivityResult, error) {
 		}
 		return out
 	}
-	dn := pick(dnAll, TableIVDotNetSubset)
-	asp := pick(aspAll, TableIVAspNetSubset)
-	spec := pick(specAll, TableIVSpecSubset)
+	// The three Table IV subsets, measured through the Lab under every
+	// configuration. The key covers the selection, the machine and the
+	// options, so no two configurations share a measurement.
+	sets := [3][]workload.Profile{
+		pick(dnAll, TableIVDotNetSubset),
+		pick(aspAll, TableIVAspNetSubset),
+		pick(specAll, TableIVSpecSubset),
+	}
 
 	out := &SensitivityResult{}
 	for _, cfg := range sensitivityConfigs(l.Cfg.Instructions) {
-		dms, err := core.MeasureSuiteCtx(ctx, nil, dn, m, cfg.opts, l.Cfg.Workers)
-		if err != nil {
-			return nil, err
+		var sm [3][]core.Measurement
+		for i, ps := range sets {
+			key := fmt.Sprintf("sensitivity/%s/%s/%s", m.Name, selectionID(ps), optionsID(cfg.opts))
+			ms, err := l.measure(ctx, key, ps, m, cfg.opts)
+			if err != nil {
+				return nil, err
+			}
+			sm[i] = ms
 		}
-		ams, err := core.MeasureSuiteCtx(ctx, nil, asp, m, cfg.opts, l.Cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-		sms, err := core.MeasureSuiteCtx(ctx, nil, spec, m, cfg.opts, l.Cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
+		dms, ams, sms := sm[0], sm[1], sm[2]
 
 		mean := func(ms []core.Measurement, id metrics.ID) float64 {
 			var xs []float64
@@ -144,16 +147,6 @@ func Sensitivity(ctx context.Context, l *Lab) (*SensitivityResult, error) {
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
-}
-
-// AllHold reports whether every ordering holds in every configuration.
-func (r *SensitivityResult) AllHold() bool {
-	for _, row := range r.Rows {
-		if !(row.KernelOrdering && row.LLCOrdering && row.FEOrdering && row.ISideOrdering) {
-			return false
-		}
-	}
-	return true
 }
 
 // Artifact renders the sweep: header plus the holds/FLIPS table.

@@ -1,11 +1,6 @@
 package experiments
 
 import (
-	"context"
-	"fmt"
-
-	"repro/internal/core"
-	"repro/internal/machine"
 	"repro/internal/workload"
 )
 
@@ -45,23 +40,4 @@ func (l *Lab) externalSuites() []*workload.SuiteDef {
 		}
 	}
 	return out
-}
-
-// MeasureSuiteByName measures a wire-named suite through the registry,
-// sharing the Lab's per-key singleflight and caches, so concurrent
-// identical serving requests coalesce into one measurement.
-func (l *Lab) MeasureSuiteByName(ctx context.Context, suite string, m *machine.Config) ([]core.Measurement, error) {
-	def, ok := l.registry().Lookup(suite)
-	if !ok {
-		return nil, fmt.Errorf("unknown suite %q (want one of %v)", suite, l.SuiteNames())
-	}
-	return l.MeasureSuite(ctx, def, m)
-}
-
-// FilterMeasurements returns the measurements for the named workloads, in
-// the given order, skipping names the suite does not contain. It is the
-// exported form of the subset selection the Table IV drivers use, for
-// serving requests that ask for specific workloads.
-func FilterMeasurements(ms []core.Measurement, names []string) []core.Measurement {
-	return subsetMeasurements(ms, names)
 }

@@ -8,15 +8,15 @@ import (
 	"repro/internal/machine"
 )
 
-// TestMeasureSuiteByNameRoutes: every published suite name measures, the
-// result matches the direct method call (same Lab cache key), and an
-// unknown name errors with the roster.
-func TestMeasureSuiteByNameRoutes(t *testing.T) {
+// TestMeasureWireRoutes: every published suite name measures, the result
+// is the one Lab.MeasureSuite returns for the resolved definition (same
+// Lab cache key), and an unknown name errors with the roster.
+func TestMeasureWireRoutes(t *testing.T) {
 	lab := NewLab(Config{Instructions: 2000, DotNetIndividualLimit: 5})
 	m := machine.CoreI9()
 	ctx := context.Background()
 	for _, suite := range SuiteNames() {
-		ms, err := lab.MeasureSuiteByName(ctx, suite, m)
+		ms, err := lab.measureWire(ctx, suite, m)
 		if err != nil {
 			t.Fatalf("suite %q: %v", suite, err)
 		}
@@ -24,25 +24,24 @@ func TestMeasureSuiteByNameRoutes(t *testing.T) {
 			t.Fatalf("suite %q: no measurements", suite)
 		}
 	}
-	// The by-name route and the direct method must share one cache entry:
-	// identical vectors, no divergence.
-	direct, err := lab.AspNet(ctx, m)
+	// The by-name route and the definition route must share one cache
+	// entry: the very same measurement slice.
+	def, ok := lab.Suite("aspnet")
+	if !ok {
+		t.Fatal("aspnet suite not registered")
+	}
+	direct, err := lab.MeasureSuite(ctx, def, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	routed, err := lab.MeasureSuiteByName(ctx, "aspnet", m)
+	routed, err := lab.measureWire(ctx, "aspnet", m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(direct) != len(routed) {
-		t.Fatalf("routed %d measurements, direct %d", len(routed), len(direct))
+	if len(direct) != len(routed) || &direct[0] != &routed[0] {
+		t.Fatalf("routed and direct calls did not share one cache entry (%d vs %d measurements)", len(routed), len(direct))
 	}
-	for i := range direct {
-		if direct[i].Vector != routed[i].Vector {
-			t.Fatalf("measurement %d diverges between routed and direct calls", i)
-		}
-	}
-	if _, err := lab.MeasureSuiteByName(ctx, "nope", m); err == nil || !strings.Contains(err.Error(), "unknown suite") {
+	if _, err := lab.measureWire(ctx, "nope", m); err == nil || !strings.Contains(err.Error(), "unknown suite") {
 		t.Fatalf("unknown suite returned %v, want unknown-suite error", err)
 	}
 }

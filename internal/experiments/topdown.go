@@ -213,7 +213,7 @@ type scalingSweep struct {
 // across the configured core counts. Both Fig 11 and Fig 12 consume it;
 // Lab.once guarantees the simulations run at most once per Lab.
 func (l *Lab) aspNetScaling(ctx context.Context) (*scalingSweep, error) {
-	v, err := l.once(ctx, "aspnet-scaling", func(ctx context.Context) (any, error) {
+	v, err := l.once(ctx, "aspnet-scaling", nil, func(ctx context.Context) (any, error) {
 		span := l.Obs.Span("measure", "aspnet-scaling")
 		defer span.End()
 		out := &scalingSweep{Sweep: l.Cfg.CoreSweep}

@@ -2,6 +2,7 @@ package mstore
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"os"
@@ -17,6 +18,17 @@ import (
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
+
+// measure runs core.Measure behind cache (nil for none) and fails the
+// test on a suite-level error.
+func measure(t *testing.T, cache core.MeasurementCache, ps []workload.Profile, m *machine.Config, opts sim.Options, workers int) []core.Measurement {
+	t.Helper()
+	ms, err := core.Measure(context.Background(), cache, ps, m, opts, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ms
+}
 
 func testInputs() ([]workload.Profile, *machine.Config, sim.Options) {
 	ps := workload.DotNetCategories()[:6]
@@ -58,7 +70,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if _, ok := s.Get(ps, m, opts); ok {
 		t.Fatal("empty store reported a hit")
 	}
-	ms := core.MeasureSuite(ps, m, opts)
+	ms := measure(t, nil, ps, m, opts, 0)
 	s.Put(ps, m, opts, ms)
 	got, ok := s.Get(ps, m, opts)
 	if !ok {
@@ -99,7 +111,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 // measurements and an empty suite included.
 func TestMarshalEntryMatchesMarshal(t *testing.T) {
 	ps, m, opts := testInputs()
-	ms := core.MeasureSuite(ps, m, opts)
+	ms := measure(t, nil, ps, m, opts, 0)
 	recs := make([]rec, len(ms))
 	for i, mm := range ms {
 		recs[i] = rec{Workload: mm.Workload, Vector: mm.Vector, Result: mm.Result}
@@ -126,7 +138,7 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := core.MeasureSuite(ps, m, opts)
+	ms := measure(t, nil, ps, m, opts, 0)
 	s.Put(ps, m, opts, ms)
 	key, _ := Key(ps, m, opts)
 	if err := os.WriteFile(filepath.Join(s.Dir(), key+".json"), []byte("{not json"), 0o644); err != nil {
@@ -142,15 +154,15 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 // identical measurements — same vectors, same ordering, same report bytes.
 func TestMeasureEquivalence(t *testing.T) {
 	ps, m, opts := testInputs()
-	serial := core.MeasureSuiteWorkers(ps, m, opts, 1)
-	parallel := core.MeasureSuiteWorkers(ps, m, opts, 8)
+	serial := measure(t, nil, ps, m, opts, 1)
+	parallel := measure(t, nil, ps, m, opts, 8)
 
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := core.MeasureSuiteCached(s, ps, m, opts) // cold: measures and stores
-	warm := core.MeasureSuiteCached(s, ps, m, opts)  // warm: served from disk
+	first := measure(t, s, ps, m, opts, 0) // cold: measures and stores
+	warm := measure(t, s, ps, m, opts, 0)  // warm: served from disk
 
 	render := func(ms []core.Measurement) []byte {
 		var b bytes.Buffer
@@ -202,7 +214,7 @@ func TestObsCountersAndWarnings(t *testing.T) {
 		t.Fatalf("a plain miss must not warn, got %q", log.String())
 	}
 
-	ms := core.MeasureSuite(ps, m, opts)
+	ms := measure(t, nil, ps, m, opts, 0)
 	s.Put(ps, m, opts, ms)
 	if got := tr.Counter("mstore.puts"); got != 1 {
 		t.Fatalf("mstore.puts = %d, want 1", got)

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"strings"
 	"testing"
@@ -13,10 +14,20 @@ import (
 	"repro/internal/workload"
 )
 
+// measure runs core.Measure with no cache and fails the test on a
+// suite-level error.
+func measure(t *testing.T, ps []workload.Profile, opts sim.Options) []core.Measurement {
+	t.Helper()
+	ms, err := core.Measure(context.Background(), nil, ps, machine.CoreI9(), opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ms
+}
+
 func sampleMeasurements(t *testing.T) []core.Measurement {
 	t.Helper()
-	cats := workload.DotNetCategories()[:3]
-	ms := core.MeasureSuite(cats, machine.CoreI9(), sim.Options{Instructions: 5000})
+	ms := measure(t, workload.DotNetCategories()[:3], sim.Options{Instructions: 5000})
 	for _, m := range ms {
 		if m.Err != nil {
 			t.Fatalf("%s: %v", m.Workload.Name, m.Err)
@@ -45,8 +56,7 @@ func TestFromMeasurements(t *testing.T) {
 func TestErrorRecord(t *testing.T) {
 	p := workload.DotNetCategories()[0]
 	p.WorkingSetBytes = 190 << 20
-	ms := core.MeasureSuite([]workload.Profile{p}, machine.CoreI9(),
-		sim.Options{Instructions: 1000, MaxHeapBytes: 200 << 20})
+	ms := measure(t, []workload.Profile{p}, sim.Options{Instructions: 1000, MaxHeapBytes: 200 << 20})
 	recs := FromMeasurements(ms)
 	if recs[0].Error == "" {
 		t.Fatal("error should be recorded")

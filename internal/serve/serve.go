@@ -1,6 +1,6 @@
 // Package serve is the production core of charnetd, the measurement-
 // serving daemon: an HTTP/JSON service over the cancellable, cached,
-// observable pipeline (experiments.Lab → core.MeasureSuiteCtx).
+// observable pipeline (experiments.Lab → core.Measure).
 //
 // Endpoints (all JSON payloads reuse the internal/artifact renderers, so
 // a body is byte-identical to `charnet -format json` for the same
@@ -36,7 +36,7 @@
 //   - Token-bucket rate limiting ahead of the queue: an exhausted bucket
 //     sheds with 429 + Retry-After sized to the refill deficit.
 //   - Per-request cancellation: the request context flows into
-//     MeasureSuiteCtx, so a client disconnect aborts server-side
+//     core.Measure, so a client disconnect aborts server-side
 //     simulation within one workload's sim time and never tears a
 //     measurement-store write.
 //   - Request coalescing: concurrent identical measurements collapse

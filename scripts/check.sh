@@ -3,7 +3,10 @@
 #
 #   gofmt        formatting (including analyzer fixtures, which must stay
 #                gofmt-clean so their golden line numbers are stable)
-#   go vet       the stock toolchain checks
+#   go vet       the stock toolchain checks, on this module and on the
+#                nested charnetbench module (which `go test ./...` never
+#                compiles, yet which imports internal packages, so an
+#                internal API change could break the benchmark silently)
 #   charnet-vet  the repo's determinism-and-correctness lint suite
 #                (docs/ANALYSIS.md), including the whole-program
 #                detertaint reachability proof over every registered
@@ -55,6 +58,9 @@ fi
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== go vet (charnetbench module)"
+(cd charnetbench && go vet ./...)
 
 echo "== charnet-vet ./... (stale-ignore check, JSON archive)"
 if ! go run ./cmd/charnet-vet -unused-ignores -json ./... > "$workdir/vet.json"; then
