@@ -185,6 +185,10 @@ func main() {
 	}
 }
 
+// readHeaderTimeout bounds how long a scraper may take to send request
+// headers, so idle half-open connections cannot pin the listener.
+const readHeaderTimeout = 10 * time.Second
+
 // serveTelemetry binds the telemetry service plane (internal/telemetry's
 // mux) on addr and starts serving. Listening happens synchronously so a
 // ":0" address resolves to a real port before the run starts, announced
@@ -197,7 +201,7 @@ func serveTelemetry(addr string, tr *obs.Trace, info telemetry.Info) (stop func(
 		return nil, err
 	}
 	fmt.Fprintf(os.Stderr, "charnet: telemetry: serving on http://%s\n", ln.Addr())
-	srv := &http.Server{Handler: telemetry.NewMux(tr, info)}
+	srv := &http.Server{ReadHeaderTimeout: readHeaderTimeout, Handler: telemetry.NewMux(tr, info)}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	return func() {

@@ -175,6 +175,48 @@ func TestExportThroughLab(t *testing.T) {
 	}
 }
 
+// TestConfigDriversThroughStore: Figs 11-14 and the extensions measure
+// through the Lab, so each driver run cold simulates, and a second run in
+// a fresh Lab on the same store emits identical bytes, served from the
+// store without simulating anything.
+func TestConfigDriversThroughStore(t *testing.T) {
+	for _, cmd := range []string{"fig11", "fig12", "fig13", "fig14", "extensions"} {
+		dir := t.TempDir()
+		drive := func() ([]byte, *obs.Trace) {
+			t.Helper()
+			store, err := mstore.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lab := tinyLab()
+			// Fig 13's correlations need quick fidelity's sample count.
+			lab.Cfg.Instructions = experiments.Quick().Instructions
+			lab.Obs = obs.New()
+			store.Obs = lab.Obs
+			lab.Store = store
+			var out bytes.Buffer
+			if err := dispatch(context.Background(), lab, cmd, nil, "text", &out); err != nil {
+				t.Fatal(err)
+			}
+			return out.Bytes(), lab.Obs
+		}
+		cold, coldTr := drive()
+		warm, warmTr := drive()
+		if coldTr.Counter("sim.instructions") == 0 {
+			t.Errorf("%s: cold run simulated nothing", cmd)
+		}
+		if !bytes.Equal(cold, warm) {
+			t.Errorf("%s: bytes differ between a cold and a store-served run", cmd)
+		}
+		if warmTr.Counter("mstore.hits") == 0 {
+			t.Errorf("%s: warm run was not served from the store", cmd)
+		}
+		if n := warmTr.Counter("sim.instructions"); n != 0 {
+			t.Errorf("%s: warm run simulated %d instructions, want 0", cmd, n)
+		}
+	}
+}
+
 // TestTraceOutSchema drives a real figure with tracing on and validates
 // the -trace-out artifact: valid JSON, only known phases, complete ("X")
 // events with timestamps and non-negative durations, and the span

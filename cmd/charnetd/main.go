@@ -152,6 +152,11 @@ func selftestConfig(enabled bool, requests, concurrency int, jsonPath string) *s
 	return &selftestOpts{requests: requests, concurrency: concurrency, jsonPath: jsonPath}
 }
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so idle half-open connections cannot pin the listener. There
+// is no write timeout: ?stream=jsonl responses outlive any fixed bound.
+const readHeaderTimeout = 10 * time.Second
+
 // runDaemon binds addr, serves until ctx is cancelled (or the selftest
 // completes), then drains: listener shutdown first so handlers return,
 // serve core second so admitted work lands.
@@ -163,7 +168,7 @@ func runDaemon(ctx context.Context, lab *experiments.Lab, tr *obs.Trace, scfg se
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "charnetd: serving on http://%s\n", ln.Addr())
-	srv := &http.Server{Handler: s}
+	srv := &http.Server{ReadHeaderTimeout: readHeaderTimeout, Handler: s}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

@@ -165,44 +165,6 @@ func TestExecutionTimesAndValidationFlow(t *testing.T) {
 	}
 }
 
-func TestMeasureRepeated(t *testing.T) {
-	p, _ := workload.ByName(workload.DotNetCategories(), "System.Runtime")
-	rep, err := MeasureRepeated(p, machine.CoreI9(), sim.Options{Instructions: 40000}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Runs != 4 {
-		t.Fatalf("runs = %d", rep.Runs)
-	}
-	if rep.Mean[metrics.CPI] <= 0 {
-		t.Fatal("mean CPI must be positive")
-	}
-	// Distinct seeds produce nonzero-but-small run-to-run variation: the
-	// paper's steady-state criterion (variance < 5%) should hold for a
-	// warmed microbenchmark.
-	if rep.Std[metrics.CPI] == 0 {
-		t.Fatal("distinct seeds should produce some variation")
-	}
-	// The paper's criterion is <5% over multi-second runs; at this
-	// simulation window a single JIT churn event is a visible lump, so
-	// the acceptance bound is slightly wider.
-	if !rep.Steady(0.08) {
-		t.Fatalf("CPI CoV %.4f far exceeds the steady-state criterion", rep.CPICoV)
-	}
-	if _, err := MeasureRepeated(p, machine.CoreI9(), sim.Options{}, 1); err == nil {
-		t.Fatal("runs < 2 should be rejected")
-	}
-}
-
-func TestMeasureRepeatedPropagatesErrors(t *testing.T) {
-	p, _ := workload.ByName(workload.DotNetCategories(), "System.Collections")
-	p.WorkingSetBytes = 190 << 20
-	_, err := MeasureRepeated(p, machine.CoreI9(), sim.Options{Instructions: 1000, MaxHeapBytes: 200 << 20}, 3)
-	if err == nil {
-		t.Fatal("OOM should propagate")
-	}
-}
-
 // fakeCache records Put calls for the cancellation tests.
 type fakeCache struct{ puts int }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/mstore"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // TestMeasureCancelMidFlight cancels a suite measurement while the
@@ -35,14 +34,15 @@ func TestMeasureCancelMidFlight(t *testing.T) {
 	lab.Store = store
 
 	m := machine.CoreI9()
-	ps := workload.DotNetCategories()
+	dotnet := lab.builtin("dotnet")
+	ps := dotnet.Profiles()
 	opts := sim.Options{Instructions: cfg.Instructions}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := lab.measure(ctx, "midflight", ps, m, opts)
+		_, err := lab.measure(ctx, dotnet, nil, m, opts)
 		done <- err
 	}()
 
@@ -76,7 +76,7 @@ func TestMeasureCancelMidFlight(t *testing.T) {
 	}
 
 	// The error must not poison the lab: the same key re-measures fresh.
-	got, err := lab.measure(context.Background(), "midflight", ps, m, opts)
+	got, err := lab.measure(context.Background(), dotnet, nil, m, opts)
 	if err != nil {
 		t.Fatalf("re-measure after cancellation: %v", err)
 	}

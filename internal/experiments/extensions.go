@@ -9,7 +9,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // AssistDelta quantifies one §VIII proposal against the baseline for one
@@ -41,7 +40,7 @@ type assistCase struct {
 	name      string
 	assist    sim.HWAssist
 	workloads []string
-	suite     func() []workload.Profile
+	suite     string // registry wire name of the workloads' suite
 	opts      func(base sim.Options) sim.Options
 }
 
@@ -51,7 +50,7 @@ func extensionCases() []assistCase {
 			name:      "jit-code-prefetch",
 			assist:    sim.HWAssist{JITCodePrefetch: true},
 			workloads: []string{"Json", "Plaintext"},
-			suite:     workload.AspNetWorkloads,
+			suite:     "aspnet",
 			opts: func(b sim.Options) sim.Options {
 				// Cold process: compilations abound, cold-start misses
 				// dominate — the scenario §VII-A1 analyzes.
@@ -65,7 +64,7 @@ func extensionCases() []assistCase {
 			name:      "predictor-transform",
 			assist:    sim.HWAssist{PredictorTransform: true},
 			workloads: []string{"Json", "Plaintext"},
-			suite:     workload.AspNetWorkloads,
+			suite:     "aspnet",
 			opts: func(b sim.Options) sim.Options {
 				b.PrecompiledFrac = -1
 				b.DisableWarmup = true
@@ -78,7 +77,7 @@ func extensionCases() []assistCase {
 			name:      "gc-offload",
 			assist:    sim.HWAssist{GCOffload: true},
 			workloads: []string{"System.Collections", "System.Linq"},
-			suite:     workload.DotNetCategories,
+			suite:     "dotnet",
 			opts: func(b sim.Options) sim.Options {
 				b.MaxHeapBytes = 200 << 20
 				b.AllocScale = 3000
@@ -89,7 +88,7 @@ func extensionCases() []assistCase {
 			name:      "hugepage-code",
 			assist:    sim.HWAssist{HugePageCode: true},
 			workloads: []string{"CscBench", "Roslyn"},
-			suite:     workload.DotNetCategories,
+			suite:     "dotnet",
 			opts: func(b sim.Options) sim.Options {
 				// The assist matters most where code is sparse; evaluated
 				// on the large-footprint compiler categories.
@@ -100,7 +99,7 @@ func extensionCases() []assistCase {
 			name:      "hashed-slice-placement",
 			assist:    sim.HWAssist{HashedSlicePlacement: true},
 			workloads: []string{"DbFortunesRaw", "MvcDbFortunesRaw"},
-			suite:     workload.AspNetWorkloads,
+			suite:     "aspnet",
 			opts: func(b sim.Options) sim.Options {
 				b.Cores = 16
 				return b
@@ -115,26 +114,27 @@ func Extensions(ctx context.Context, l *Lab) (*ExtensionsResult, error) {
 	m := machine.CoreI9()
 	perAssist := map[string][]float64{}
 	for _, c := range extensionCases() {
-		ps := c.suite()
-		for _, name := range c.workloads {
-			p, ok := workload.ByName(ps, name)
-			if !ok {
-				continue
+		def := l.builtin(c.suite)
+		base := c.opts(sim.Options{Instructions: l.Cfg.Instructions * 4})
+		baseMs, err := l.measure(ctx, def, c.workloads, m, base)
+		if err != nil {
+			return nil, err
+		}
+		withAssist := base
+		withAssist.Assist = c.assist
+		assistMs, err := l.measure(ctx, def, c.workloads, m, withAssist)
+		if err != nil {
+			return nil, err
+		}
+		for i, bm := range baseMs {
+			name := bm.Workload.Name
+			if bm.Err != nil {
+				return nil, fmt.Errorf("experiments: extensions baseline %s/%s: %w", c.name, name, bm.Err)
 			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			base := c.opts(sim.Options{Instructions: l.Cfg.Instructions * 4})
-			baseRes, err := sim.Run(p, m, base)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: extensions baseline %s/%s: %w", c.name, name, err)
-			}
-			withAssist := base
-			withAssist.Assist = c.assist
-			aRes, err := sim.Run(p, m, withAssist)
-			if err != nil {
+			if err := assistMs[i].Err; err != nil {
 				return nil, fmt.Errorf("experiments: extensions assisted %s/%s: %w", c.name, name, err)
 			}
+			baseRes, aRes := bm.Result, assistMs[i].Result
 			d := AssistDelta{
 				Workload:     name,
 				Assist:       c.name,

@@ -16,8 +16,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"io"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -64,7 +63,8 @@ func Full() Config {
 	}
 }
 
-// Lab caches suite measurements per (suite, machine).
+// Lab is the drivers' one measurement path: it measures suites and
+// driver configurations and caches each measurement under its key.
 type Lab struct {
 	Cfg Config
 
@@ -79,57 +79,65 @@ type Lab struct {
 	// map below still fronts it within a process.
 	Store core.MeasurementCache
 
-	// Obs, when set, traces suite measurements (one "measure <key>" span
-	// each, per-workload sim spans beneath) and counts singleflight
-	// coalescing. Nil disables all instrumentation at ~zero cost.
+	// Obs, when set, traces measurements (one "measure" span each,
+	// per-workload sim spans beneath) and counts singleflight coalescing.
+	// Nil disables all instrumentation at ~zero cost.
 	Obs *obs.Trace
 
 	mu    sync.Mutex
-	cells map[string]*cell
+	cells map[measureKey]*cell
+}
+
+// measureKey is the identity of one Lab measurement: which workloads of
+// which suite, on which machine, under which simulator options. It is
+// comparable, so a memory-cache hit needs no formatting or hashing.
+type measureKey struct {
+	suite string // registry wire name
+	limit int    // stride-sample size of a sampled suite; 0 = unsampled
+	// names holds a named subset's members in order (all empty for the
+	// whole suite). A fixed array keeps hits allocation-free; a subset
+	// longer than the array NUL-joins its tail into the last slot.
+	names   [8]string
+	machine string
+	opts    sim.Options // Obs cleared: tracing is not a simulation input
 }
 
 // cell is the Lab's singleflight cell: the first caller for a key creates
-// it and computes; later callers wait on done and share the value — or
-// the error, when the leader's context was cancelled mid-computation.
+// it and measures; later callers wait on done and share the measurements
+// — or the error, when the leader's context was cancelled mid-flight.
 type cell struct {
 	done chan struct{}
-	val  any
+	ms   []core.Measurement
 	err  error
 }
 
 // NewLab builds a Lab with the given fidelity.
 func NewLab(cfg Config) *Lab {
-	return &Lab{Cfg: cfg, cells: make(map[string]*cell)}
+	return &Lab{Cfg: cfg, cells: make(map[measureKey]*cell)}
 }
 
-// measure is the Lab's one suite-measurement path: a singleflight on key
-// in front of core.Measure, with the Lab's store, worker count and a
-// "measure <key>" span. Later callers are served from memory and counted
-// as memory-cache hits or, while the measurement is in flight, as
-// coalesced waiters.
-func (l *Lab) measure(ctx context.Context, key string, ps []workload.Profile, m *machine.Config, opts sim.Options) ([]core.Measurement, error) {
-	v, err := l.once(ctx, key, l.Obs, func(ctx context.Context) (any, error) {
-		span := l.Obs.Span("measure", key)
-		opts.Obs = span
-		ms, err := core.Measure(ctx, l.Store, ps, m, opts, l.Cfg.Workers)
-		span.End()
-		l.Obs.Observe("measure.latency", span.Duration())
-		return ms, err
-	})
-	ms, _ := v.([]core.Measurement)
-	return ms, err
-}
-
-// once runs f at most once per key and shares the result: concurrent
-// callers wait for the leader, a failed computation (in practice, a
-// cancelled one) is evicted so later callers retry, and a successful one
-// is served from memory forever after. Suite measurements and derived
-// results two drivers share (Figs 11 and 12 both consume the ASP.NET
-// core-count sweep) live in the same map. A non-nil tr counts how each
-// follower was served: "lab.memcache.hits" for a finished cell,
-// "lab.singleflight.coalesced" plus the "measure.singleflight.wait"
-// histogram for one still in flight.
-func (l *Lab) once(ctx context.Context, key string, tr *obs.Trace, f func(context.Context) (any, error)) (any, error) {
+// measure is the Lab's one measurement path: every suite, subset and
+// driver configuration is measured here, through core.Measure with the
+// Lab's store and worker count, under a "measure" span. names narrows the
+// suite to the named members, in that order (missing names are skipped);
+// without names a sampled suite is stride-sampled to the configured
+// limit. The measurement runs at most once per key: concurrent callers
+// wait for the leader ("lab.singleflight.coalesced" plus the
+// "measure.singleflight.wait" histogram), later ones are served from
+// memory ("lab.memcache.hits"), and a failed (in practice, cancelled)
+// measurement is evicted so later callers retry.
+func (l *Lab) measure(ctx context.Context, def *workload.SuiteDef, names []string, m *machine.Config, opts sim.Options) ([]core.Measurement, error) {
+	opts.Obs = nil
+	key := measureKey{suite: def.Wire, machine: m.Name, opts: opts}
+	last := len(key.names) - 1
+	copy(key.names[:last], names)
+	if len(names) > last {
+		key.names[last] = strings.Join(names[last:], "\x00")
+	}
+	if n := l.Cfg.DotNetIndividualLimit; len(names) == 0 && def.Measurement.Sampled && n > 0 && n < def.Len() {
+		key.limit = n
+	}
+	tr := l.Obs
 	l.mu.Lock()
 	if e, ok := l.cells[key]; ok {
 		l.mu.Unlock()
@@ -142,26 +150,54 @@ func (l *Lab) once(ctx context.Context, key string, tr *obs.Trace, f func(contex
 			<-e.done
 			tr.Observe("measure.singleflight.wait", tr.Now().Sub(waitStart))
 		}
-		return e.val, e.err
+		return e.ms, e.err
 	}
 	e := &cell{done: make(chan struct{})}
 	l.cells[key] = e
 	l.mu.Unlock()
-	e.val, e.err = f(ctx)
+
+	ps := selectProfiles(def, names, key.limit)
+	span := tr.Span("measure", fmt.Sprintf("%s/%s/%d", def.Wire, m.Name, len(ps)))
+	opts.Obs = span
+	e.ms, e.err = core.Measure(ctx, l.Store, ps, m, opts, l.Cfg.Workers)
+	span.End()
+	tr.Observe("measure.latency", span.Duration())
 	if e.err != nil {
 		// Evict before releasing waiters: a failed cell must not poison
 		// the key. A caller racing the eviction either holds e (and sees
-		// the error) or misses the map and computes fresh — both correct.
+		// the error) or misses the map and measures fresh — both correct.
 		l.mu.Lock()
 		delete(l.cells, key)
 		l.mu.Unlock()
 	}
 	close(e.done)
-	return e.val, e.err
+	return e.ms, e.err
 }
 
-func (l *Lab) opts() sim.Options {
-	return sim.Options{Instructions: l.Cfg.Instructions}
+// selectProfiles builds the workload list of one measurement: the named
+// members of def in the given order (skipping names it lacks), or else
+// every workload of def, stride-sampled to limit when limit > 0. The
+// stride sample spans the suite's categories rather than taking a
+// prefix, and holds exactly limit workloads.
+func selectProfiles(def *workload.SuiteDef, names []string, limit int) []workload.Profile {
+	if len(names) > 0 {
+		var ps []workload.Profile
+		for _, n := range names {
+			if p, ok := def.Lookup(n); ok {
+				ps = append(ps, p)
+			}
+		}
+		return ps
+	}
+	ps := def.Profiles()
+	if limit > 0 {
+		stride := len(ps) / limit // >= 1: limit < len(ps)
+		for i := 0; i < limit; i++ {
+			ps[i] = ps[i*stride] // i*stride >= i: no slot is read after it is overwritten
+		}
+		ps = ps[:limit]
+	}
+	return ps
 }
 
 // registry resolves the Lab's suite registry, defaulting to the
@@ -173,37 +209,25 @@ func (l *Lab) registry() *workload.Registry {
 	return workload.Builtin()
 }
 
+// builtin resolves one of the paper's suites, whose subsets the figure
+// drivers measure. Every registry holds the built-in suites.
+func (l *Lab) builtin(wire string) *workload.SuiteDef {
+	def, _ := l.registry().Lookup(wire)
+	return def
+}
+
 // MeasureSuite measures one registered suite on m, honoring the suite's
 // measurement policy: a nonzero instruction divisor scales the
 // per-workload budget (short microbenchmarks get a slice of it), and
 // sampled suites honor the configured individual-workload limit via a
-// deterministic stride sample. Results share the Lab's per-key
-// singleflight and caches.
+// deterministic stride sample. Results share the Lab's singleflight and
+// caches; a memory hit allocates nothing.
 func (l *Lab) MeasureSuite(ctx context.Context, def *workload.SuiteDef, m *machine.Config) ([]core.Measurement, error) {
-	ps := def.Profiles()
-	opts := l.opts()
+	opts := sim.Options{Instructions: l.Cfg.Instructions}
 	if d := def.Measurement.InstructionsDivisor; d > 0 {
 		opts.Instructions = l.Cfg.Instructions/d + def.Measurement.InstructionsExtra
 	}
-	key := fmt.Sprintf("suite/%s/%s", def.Wire, m.Name)
-	if def.Measurement.Sampled {
-		if n := l.Cfg.DotNetIndividualLimit; n > 0 && n < len(ps) {
-			// Deterministic stride sample across categories rather than a
-			// prefix, so the limited set still spans the suite. The loop is
-			// bounded by n itself, so the sample is exactly n workloads for
-			// any suite size; max index (n-1)*(len/n) < len.
-			stride := len(ps) / n
-			sel := make([]workload.Profile, n)
-			for i := range sel {
-				sel[i] = ps[i*stride]
-			}
-			ps = sel
-		}
-		// Key on the actual selection, not just its size: two configs with
-		// equal limits but different sampled sets must not collide.
-		key = fmt.Sprintf("suite/%s/%s/%s", def.Wire, m.Name, selectionID(ps))
-	}
-	return l.measure(ctx, key, ps, m, opts)
+	return l.measure(ctx, def, nil, m, opts)
 }
 
 // measureWire measures a suite by wire name through the registry.
@@ -253,29 +277,6 @@ var TableIVAspNetSubset = []string{
 // TableIVSpecSubset is the paper's chosen 8-element SPEC CPU17 subset.
 var TableIVSpecSubset = []string{
 	"mcf", "cactuBSSN", "wrf", "gcc", "omnetpp", "perlbench", "xalancbmk", "bwaves",
-}
-
-// selectionID digests a workload selection into a short stable cache-key
-// component: its size plus a hash of the names in order.
-func selectionID(ws []workload.Profile) string {
-	h := fnv.New64a()
-	for _, w := range ws {
-		//charnet:ignore errdiscard hash.Hash.Write is documented to never return an error
-		io.WriteString(h, w.Name)
-		//charnet:ignore errdiscard hash.Hash.Write is documented to never return an error
-		h.Write([]byte{0})
-	}
-	return fmt.Sprintf("%d-%016x", len(ws), h.Sum64())
-}
-
-// optionsID digests simulator options, bar the tracing span, into a
-// short stable cache-key component.
-func optionsID(opts sim.Options) string {
-	opts.Obs = nil
-	h := fnv.New64a()
-	//charnet:ignore errdiscard hash.Hash.Write is documented to never return an error
-	fmt.Fprintf(h, "%+v", opts)
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // FilterMeasurements returns the measurements for the named workloads,

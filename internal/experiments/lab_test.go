@@ -30,6 +30,16 @@ func (c *countingCache) Put(_ []workload.Profile, _ *machine.Config, _ sim.Optio
 	c.puts.Add(1)
 }
 
+// dotnetHead names the first n .NET categories: a small selection for
+// the singleflight tests.
+func dotnetHead(n int) []string {
+	names := make([]string, n)
+	for i, p := range workload.DotNetCategories()[:n] {
+		names[i] = p.Name
+	}
+	return names
+}
+
 // TestMeasureSingleflight drives many concurrent drivers at one key: the
 // suite must be simulated exactly once, with late callers waiting on the
 // in-flight measurement instead of duplicating it (the Lab.measure race).
@@ -38,7 +48,7 @@ func TestMeasureSingleflight(t *testing.T) {
 	counter := &countingCache{}
 	lab.Store = counter
 	m := machine.CoreI9()
-	ps := workload.DotNetCategories()[:4]
+	dotnet, names := lab.builtin("dotnet"), dotnetHead(4)
 
 	const callers = 8
 	results := make([][]core.Measurement, callers)
@@ -48,7 +58,7 @@ func TestMeasureSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = lab.measure(context.Background(), "race-key", ps, m, sim.Options{Instructions: 2000})
+			results[i], errs[i] = lab.measure(context.Background(), dotnet, names, m, sim.Options{Instructions: 2000})
 		}(i)
 	}
 	wg.Wait()
@@ -77,70 +87,79 @@ func TestMeasureCancelledEvicted(t *testing.T) {
 	counter := &countingCache{}
 	lab.Store = counter
 	m := machine.CoreI9()
-	ps := workload.DotNetCategories()[:4]
+	dotnet, names := lab.builtin("dotnet"), dotnetHead(4)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := lab.measure(ctx, "cancel-key", ps, m, sim.Options{Instructions: 2000}); err == nil {
+	if _, err := lab.measure(ctx, dotnet, names, m, sim.Options{Instructions: 2000}); err == nil {
 		t.Fatal("cancelled measure should fail")
 	}
 	if n := counter.puts.Load(); n != 0 {
 		t.Fatalf("cancelled measurement stored %d entries; want 0", n)
 	}
 
-	ms, err := lab.measure(context.Background(), "cancel-key", ps, m, sim.Options{Instructions: 2000})
+	ms, err := lab.measure(context.Background(), dotnet, names, m, sim.Options{Instructions: 2000})
 	if err != nil {
 		t.Fatalf("re-measure after cancellation: %v", err)
 	}
-	if len(ms) != len(ps) {
-		t.Fatalf("re-measure yielded %d measurements, want %d", len(ms), len(ps))
+	if len(ms) != len(names) {
+		t.Fatalf("re-measure yielded %d measurements, want %d", len(ms), len(names))
 	}
 	if n := counter.puts.Load(); n != 1 {
 		t.Fatalf("re-measure stored %d entries; want 1", n)
 	}
 }
 
-// TestOnceMemo checks the generic memo: one execution per key, shared
-// value, and eviction on error so a later call can succeed.
-func TestOnceMemo(t *testing.T) {
+// TestMeasureMemo checks the Lab's measurement identity: one simulation
+// per key however many callers ask, a tracing span is not part of the
+// key, any simulator option is, and a failed measurement is evicted so a
+// later call succeeds.
+func TestMeasureMemo(t *testing.T) {
 	lab := NewLab(Config{Instructions: 2000})
-	var runs atomic.Int64
-	f := func(context.Context) (any, error) {
-		runs.Add(1)
-		return "value", nil
+	counter := &countingCache{}
+	lab.Store = counter
+	m := machine.CoreI9()
+	dotnet, names := lab.builtin("dotnet"), dotnetHead(2)
+	opts := sim.Options{Instructions: 2000}
+	measure := func(ctx context.Context, opts sim.Options) error {
+		_, err := lab.measure(ctx, dotnet, names, m, opts)
+		return err
 	}
-	const callers = 8
-	var wg sync.WaitGroup
-	vals := make([]any, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			vals[i], _ = lab.once(context.Background(), "memo-key", nil, f)
-		}(i)
-	}
-	wg.Wait()
-	if n := runs.Load(); n != 1 {
-		t.Fatalf("memoized function ran %d times; want 1", n)
-	}
-	for i := range vals {
-		if vals[i] != "value" {
-			t.Fatalf("caller %d got %v", i, vals[i])
+
+	for i := 0; i < 3; i++ {
+		if err := measure(context.Background(), opts); err != nil {
+			t.Fatal(err)
 		}
+	}
+	traced := opts
+	traced.Obs = obs.New().Span("measure", "elsewhere")
+	if err := measure(context.Background(), traced); err != nil {
+		t.Fatal(err)
+	}
+	if n := counter.puts.Load(); n != 1 {
+		t.Fatalf("one key measured %d times; want 1", n)
+	}
+	salted := opts
+	salted.SeedSalt = 1
+	if err := measure(context.Background(), salted); err != nil {
+		t.Fatal(err)
+	}
+	if n := counter.puts.Load(); n != 2 {
+		t.Fatalf("a new seed salt measured %d new times; want 1", n-1)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := lab.once(ctx, "memo-err", nil, func(ctx context.Context) (any, error) {
-		return nil, ctx.Err()
-	}); err == nil {
-		t.Fatal("erroring memo should fail")
+	evicted := opts
+	evicted.Instructions = 1000
+	if err := measure(ctx, evicted); err == nil {
+		t.Fatal("cancelled measurement should fail")
 	}
-	v, err := lab.once(context.Background(), "memo-err", nil, func(context.Context) (any, error) {
-		return 42, nil
-	})
-	if err != nil || v != 42 {
-		t.Fatalf("memo entry not evicted on error: v=%v err=%v", v, err)
+	if err := measure(context.Background(), evicted); err != nil {
+		t.Fatalf("failed measurement not evicted: %v", err)
+	}
+	if n := counter.puts.Load(); n != 3 {
+		t.Fatalf("measured %d times after the eviction; want 3", n)
 	}
 }
 
@@ -240,16 +259,23 @@ func TestSensitivityThroughStore(t *testing.T) {
 }
 
 // TestMeasureMemoryHitIsFree: once a key is measured, serving it again
-// from the Lab's memory opens no span and allocates nothing.
+// from the Lab's memory opens no span and allocates nothing — on a named
+// subset, on a whole suite, and on a stride-sampled one.
 func TestMeasureMemoryHitIsFree(t *testing.T) {
-	lab := NewLab(Config{Instructions: 2000})
+	cfg := Config{Instructions: 1000, DotNetIndividualLimit: 8}
+	lab := NewLab(cfg)
 	lab.Obs = obs.New()
 	m := machine.CoreI9()
-	ps := workload.DotNetCategories()[:2]
-	opts := sim.Options{Instructions: 2000}
 	ctx := context.Background()
-	if _, err := lab.measure(ctx, "hit-key", ps, m, opts); err != nil {
-		t.Fatal(err)
+	dotnet, names := lab.builtin("dotnet"), dotnetHead(2)
+	opts := sim.Options{Instructions: 2000}
+	hits := []struct {
+		name string
+		hit  func() ([]core.Measurement, error)
+	}{
+		{"subset", func() ([]core.Measurement, error) { return lab.measure(ctx, dotnet, names, m, opts) }},
+		{"aspnet", func() ([]core.Measurement, error) { return lab.AspNet(ctx, m) }},
+		{"dotnet-individual", func() ([]core.Measurement, error) { return lab.DotNetIndividual(ctx, m) }},
 	}
 	measureSpans := func() int {
 		var b strings.Builder
@@ -258,22 +284,29 @@ func TestMeasureMemoryHitIsFree(t *testing.T) {
 		}
 		return strings.Count(b.String(), `"name":"measure"`)
 	}
-	spans := measureSpans()
-	if spans != 1 {
-		t.Fatalf("first measurement opened %d measure spans, want 1", spans)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := lab.measure(ctx, "hit-key", ps, m, opts); err != nil {
+	for _, h := range hits {
+		name, hit := h.name, h.hit
+		if _, err := hit(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("memory-cache hit allocated %.1f times per call, want 0", allocs)
+		spans := measureSpans()
+		before := lab.Obs.Counter("lab.memcache.hits")
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := hit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: memory-cache hit allocated %.1f times per call, want 0", name, allocs)
+		}
+		if n := measureSpans(); n != spans {
+			t.Errorf("%s: memory-cache hits opened %d spans, want 0", name, n-spans)
+		}
+		if n := lab.Obs.Counter("lab.memcache.hits") - before; n < 100 {
+			t.Errorf("%s: lab.memcache.hits rose by %d, want every hit counted", name, n)
+		}
 	}
-	if n := measureSpans(); n != spans {
-		t.Errorf("memory-cache hits opened %d spans, want 0", n-spans)
-	}
-	if n := lab.Obs.Counter("lab.memcache.hits"); n < 100 {
-		t.Errorf("lab.memcache.hits = %d, want every hit counted", n)
+	if n := measureSpans(); n != 3 {
+		t.Errorf("three measurements opened %d measure spans, want 3", n)
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/artifact"
@@ -69,6 +70,38 @@ func TestRegistryArtifactsDeterministic(t *testing.T) {
 		}
 		if freshText := artifact.Text(freshRes.Artifact()); freshText != warmText {
 			t.Errorf("%s: text rendering differs between a warm and a fresh lab", d.Name)
+		}
+	}
+}
+
+// TestConfigDriversWorkerCountInvariant: the drivers that measure one
+// simulator configuration at a time (Figs 11-14 and the extensions)
+// render the same JSON whether the Lab's pool has one worker or two.
+func TestConfigDriversWorkerCountInvariant(t *testing.T) {
+	render := func(workers int) map[string]string {
+		cfg := Quick()
+		cfg.CoreSweep = []int{1, 4}
+		cfg.Workers = workers
+		lab := NewLab(cfg)
+		out := map[string]string{}
+		for _, name := range []string{"fig11", "fig12", "fig13", "fig14", "extensions"} {
+			d, _ := DriverByName(name)
+			res, err := d.Run(context.Background(), lab)
+			if err != nil {
+				t.Fatalf("%s with %d workers: %v", name, workers, err)
+			}
+			var b strings.Builder
+			if err := artifact.WriteJSON(&b, []*artifact.Artifact{res.Artifact()}); err != nil {
+				t.Fatal(err)
+			}
+			out[name] = b.String()
+		}
+		return out
+	}
+	serial, pooled := render(1), render(2)
+	for name, want := range serial {
+		if pooled[name] != want {
+			t.Errorf("%s renders differently with 2 workers than with 1", name)
 		}
 	}
 }

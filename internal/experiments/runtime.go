@@ -8,11 +8,11 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/clr"
+	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // Figure13Result reproduces Figs 13a/13b: Pearson correlations of JIT and
@@ -50,49 +50,46 @@ func Figure13(ctx context.Context, l *Lab) (*Figure13Result, error) {
 	if l.Cfg.Instructions <= 8000 {
 		names = names[:3]
 	}
-	all := workload.AspNetWorkloads()
-	for _, name := range names {
-		p, ok := workload.ByName(all, name)
-		if !ok {
-			continue
+	aspnet, m := l.builtin("aspnet"), machine.CoreI9()
+	// JIT study: huge heap (no GC), churning code.
+	jit, err := l.measure(ctx, aspnet, names, m, sim.Options{
+		Instructions:    l.Cfg.Instructions * 2,
+		Cores:           4,
+		MaxHeapBytes:    20000 << 20,
+		SampleInterval:  l.Cfg.SampleInterval,
+		TierUpCalls:     50,
+		PrecompiledFrac: 0.9,
+	})
+	if err != nil {
+		return nil, err
+	}
+	// GC study: small heap, aggressive allocation compression.
+	gc, err := l.measure(ctx, aspnet, names, m, sim.Options{
+		Instructions:   l.Cfg.Instructions * 2,
+		Cores:          4,
+		MaxHeapBytes:   200 << 20,
+		AllocScale:     4000,
+		SampleInterval: l.Cfg.SampleInterval,
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, j := range jit {
+		name := j.Workload.Name
+		if j.Err != nil {
+			return nil, fmt.Errorf("experiments: figure 13 JIT run %s: %w", name, j.Err)
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// JIT study: huge heap (no GC), churning code.
-		jitRes, err := sim.Run(p, machine.CoreI9(), sim.Options{
-			Instructions:    l.Cfg.Instructions * 2,
-			Cores:           4,
-			MaxHeapBytes:    20000 << 20,
-			SampleInterval:  l.Cfg.SampleInterval,
-			TierUpCalls:     50,
-			PrecompiledFrac: 0.9,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: figure 13 JIT run %s: %w", name, err)
-		}
-		jitCors, err := trace.StudyLagged(jitRes.Samples, trace.EventJIT, figure13Counters(), 0)
+		jitCors, err := trace.StudyLagged(j.Result.Samples, trace.EventJIT, figure13Counters(), 0)
 		if err != nil {
 			return nil, err
 		}
 		out.JIT[name] = corMap(jitCors)
 		out.JITRank[name] = rankMap(jitCors)
 
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if gc[i].Err != nil {
+			return nil, fmt.Errorf("experiments: figure 13 GC run %s: %w", name, gc[i].Err)
 		}
-		// GC study: small heap, aggressive allocation compression.
-		gcRes, err := sim.Run(p, machine.CoreI9(), sim.Options{
-			Instructions:   l.Cfg.Instructions * 2,
-			Cores:          4,
-			MaxHeapBytes:   200 << 20,
-			AllocScale:     4000,
-			SampleInterval: l.Cfg.SampleInterval,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: figure 13 GC run %s: %w", name, err)
-		}
-		gcCors, err := trace.StudyLagged(gcRes.Samples, trace.EventGC, figure13Counters(), 0)
+		gcCors, err := trace.StudyLagged(gc[i].Result.Samples, trace.EventGC, figure13Counters(), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -246,43 +243,46 @@ func Figure14(ctx context.Context, l *Lab) (*Figure14Result, error) {
 	if l.Cfg.Instructions <= 8000 {
 		names = []string{"System.Runtime", "System.Linq", "System.MathBenchmarks"}
 	}
-	cats := workload.DotNetCategories()
+	// One measurement per (GC mode, heap) configuration, in sweep order.
+	var configs []GCConfigResult
+	var sweep [][]core.Measurement
+	for _, mode := range []clr.GCMode{clr.Workstation, clr.Server} {
+		for _, heapMiB := range figure14Heaps {
+			ms, err := l.measure(ctx, l.builtin("dotnet"), names, machine.CoreI9(), sim.Options{
+				// Long enough that workstation GC completes full
+				// nursery cycles even at the large heap caps.
+				Instructions: l.Cfg.Instructions * 4,
+				GCMode:       mode,
+				MaxHeapBytes: heapMiB << 20,
+				AllocScale:   4000,
+			})
+			if err != nil {
+				return nil, err
+			}
+			configs = append(configs, GCConfigResult{Mode: mode, HeapMiB: heapMiB})
+			sweep = append(sweep, ms)
+		}
+	}
 
 	var gcRatios, llcRatios, speedups []float64
-	for _, name := range names {
-		p, ok := workload.ByName(cats, name)
-		if !ok {
-			continue
-		}
-		var cells []GCConfigResult
-		for _, mode := range []clr.GCMode{clr.Workstation, clr.Server} {
-			for _, heapMiB := range figure14Heaps {
-				if err := ctx.Err(); err != nil {
-					return nil, err
+	for w := range sweep[0] {
+		name := sweep[0][w].Workload.Name
+		cells := make([]GCConfigResult, len(configs))
+		for i, ms := range sweep {
+			cell := configs[i]
+			if err := ms[w].Err; err != nil {
+				if !errors.Is(err, clr.ErrOutOfMemory) && !errors.Is(err, clr.ErrServerGCReserve) {
+					return nil, fmt.Errorf("experiments: figure 14 %s %v/%dMiB: %w", name, cell.Mode, cell.HeapMiB, err)
 				}
-				cell := GCConfigResult{Mode: mode, HeapMiB: heapMiB}
-				res, err := sim.Run(p, machine.CoreI9(), sim.Options{
-					// Long enough that workstation GC completes full
-					// nursery cycles even at the large heap caps.
-					Instructions: l.Cfg.Instructions * 4,
-					GCMode:       mode,
-					MaxHeapBytes: heapMiB << 20,
-					AllocScale:   4000,
-				})
-				if err != nil {
-					if errors.Is(err, clr.ErrOutOfMemory) || errors.Is(err, clr.ErrServerGCReserve) {
-						cell.Failed = true
-						cell.FailMsg = err.Error()
-						cells = append(cells, cell)
-						continue
-					}
-					return nil, fmt.Errorf("experiments: figure 14 %s %v/%dMiB: %w", name, mode, heapMiB, err)
-				}
+				cell.Failed = true
+				cell.FailMsg = err.Error()
+			} else {
+				res := ms[w].Result
 				cell.GCPKI = res.Counters.MPKI(res.Counters.GCTriggered)
 				cell.LLCMPKI = res.Counters.MPKI(res.Counters.L3Misses)
 				cell.Seconds = res.Counters.WallSeconds
-				cells = append(cells, cell)
 			}
+			cells[i] = cell
 		}
 		// Pairwise server-vs-workstation comparisons at matching heap
 		// sizes (only pairs where both configurations ran).

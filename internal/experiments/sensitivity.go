@@ -11,7 +11,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // SensitivityRow records whether the headline orderings hold under one
@@ -59,34 +58,17 @@ func sensitivityConfigs(base uint64) []struct {
 // Sensitivity runs the robustness sweep over the Table IV subsets.
 func Sensitivity(ctx context.Context, l *Lab) (*SensitivityResult, error) {
 	m := machine.CoreI9()
-	dnAll := workload.DotNetCategories()
-	aspAll := workload.AspNetWorkloads()
-	specAll := workload.SpecWorkloads()
-
-	pick := func(all []workload.Profile, names []string) []workload.Profile {
-		var out []workload.Profile
-		for _, n := range names {
-			if p, ok := workload.ByName(all, n); ok {
-				out = append(out, p)
-			}
-		}
-		return out
-	}
 	// The three Table IV subsets, measured through the Lab under every
-	// configuration. The key covers the selection, the machine and the
+	// configuration. The Lab keys on the selection, the machine and the
 	// options, so no two configurations share a measurement.
-	sets := [3][]workload.Profile{
-		pick(dnAll, TableIVDotNetSubset),
-		pick(aspAll, TableIVAspNetSubset),
-		pick(specAll, TableIVSpecSubset),
-	}
+	suites := [3]string{"dotnet", "aspnet", "spec"}
+	subsets := [3][]string{TableIVDotNetSubset, TableIVAspNetSubset, TableIVSpecSubset}
 
 	out := &SensitivityResult{}
 	for _, cfg := range sensitivityConfigs(l.Cfg.Instructions) {
 		var sm [3][]core.Measurement
-		for i, ps := range sets {
-			key := fmt.Sprintf("sensitivity/%s/%s/%s", m.Name, selectionID(ps), optionsID(cfg.opts))
-			ms, err := l.measure(ctx, key, ps, m, cfg.opts)
+		for i, wire := range suites {
+			ms, err := l.measure(ctx, l.builtin(wire), subsets[i], m, cfg.opts)
 			if err != nil {
 				return nil, err
 			}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topdown"
-	"repro/internal/workload"
 )
 
 // TopDownRow is one benchmark's Top-Down profile.
@@ -203,64 +202,49 @@ type ScalingPoint struct {
 	CPI     float64
 }
 
-// scalingSweep is the ASP.NET core-count sweep Figs 11 and 12 share.
-type scalingSweep struct {
-	Points []ScalingPoint
-	Sweep  []int
-}
-
-// aspNetScaling measures (or returns the memoized) ASP.NET subset sweep
-// across the configured core counts. Both Fig 11 and Fig 12 consume it;
-// Lab.once guarantees the simulations run at most once per Lab.
-func (l *Lab) aspNetScaling(ctx context.Context) (*scalingSweep, error) {
-	v, err := l.once(ctx, "aspnet-scaling", nil, func(ctx context.Context) (any, error) {
-		span := l.Obs.Span("measure", "aspnet-scaling")
-		defer span.End()
-		out := &scalingSweep{Sweep: l.Cfg.CoreSweep}
-		names := TableIVAspNetSubset
-		if len(names) > 4 && l.Cfg.Instructions <= 8000 {
-			names = names[:4] // quick mode: a representative half
-		}
-		all := workload.AspNetWorkloads()
-		for _, name := range names {
-			p, ok := workload.ByName(all, name)
-			if !ok {
-				continue
-			}
-			for _, cores := range l.Cfg.CoreSweep {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				// Scaling runs need steadier counters than the sweep default:
-				// shared-LLC contention is a steady-state effect.
-				wspan := span.Child("sim", p.Name)
-				res, err := sim.Run(p, machine.CoreI9(), sim.Options{
-					Instructions: l.Cfg.Instructions * 3,
-					Cores:        cores,
-					Obs:          wspan,
-				})
-				wspan.End()
-				if err != nil {
-					return nil, fmt.Errorf("experiments: figure 11 %s@%d: %w", name, cores, err)
-				}
-				out.Points = append(out.Points, ScalingPoint{
-					Name:    name,
-					Cores:   cores,
-					Profile: res.Profile,
-					LLCMPKI: res.Counters.MPKI(res.Counters.L3Misses),
-					CPI:     res.Counters.CPI(),
-				})
-			}
-		}
-		if len(out.Points) == 0 {
-			return nil, fmt.Errorf("experiments: figure 11 has no points")
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
+// aspNetScaling measures the ASP.NET subset across the configured core
+// counts, one Lab measurement per count, and returns the points
+// benchmark-major. Figs 11 and 12 both consume it and share the
+// measurements through the Lab.
+func (l *Lab) aspNetScaling(ctx context.Context) ([]ScalingPoint, error) {
+	names := TableIVAspNetSubset
+	if len(names) > 4 && l.Cfg.Instructions <= 8000 {
+		names = names[:4] // quick mode: a representative half
 	}
-	return v.(*scalingSweep), nil
+	perCores := make([][]core.Measurement, len(l.Cfg.CoreSweep))
+	for i, cores := range l.Cfg.CoreSweep {
+		// Scaling runs need steadier counters than the sweep default:
+		// shared-LLC contention is a steady-state effect.
+		ms, err := l.measure(ctx, l.builtin("aspnet"), names, machine.CoreI9(), sim.Options{
+			Instructions: l.Cfg.Instructions * 3,
+			Cores:        cores,
+		})
+		if err != nil {
+			return nil, err
+		}
+		perCores[i] = ms
+	}
+	var points []ScalingPoint
+	for w := 0; len(perCores) > 0 && w < len(perCores[0]); w++ {
+		for i, cores := range l.Cfg.CoreSweep {
+			m := perCores[i][w]
+			if m.Err != nil {
+				return nil, fmt.Errorf("experiments: figure 11 %s@%d: %w", m.Workload.Name, cores, m.Err)
+			}
+			res := m.Result
+			points = append(points, ScalingPoint{
+				Name:    m.Workload.Name,
+				Cores:   cores,
+				Profile: res.Profile,
+				LLCMPKI: res.Counters.MPKI(res.Counters.L3Misses),
+				CPI:     res.Counters.CPI(),
+			})
+		}
+	}
+	if len(points) == 0 {
+		return nil, fmt.Errorf("experiments: figure 11 has no points")
+	}
+	return points, nil
 }
 
 // Figure11Result reproduces Fig 11 (with the Fig 12 summary columns the
@@ -273,11 +257,11 @@ type Figure11Result struct {
 
 // Figure11 sweeps core counts for the ASP.NET subset.
 func Figure11(ctx context.Context, l *Lab) (*Figure11Result, error) {
-	s, err := l.aspNetScaling(ctx)
+	points, err := l.aspNetScaling(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &Figure11Result{Points: s.Points, Sweep: s.Sweep}, nil
+	return &Figure11Result{Points: points, Sweep: l.Cfg.CoreSweep}, nil
 }
 
 // MeanAt aggregates backend-bound and L3-bound shares at one core count.
@@ -363,11 +347,11 @@ type Figure12Result struct {
 
 // Figure12 derives the L3-bound view from the shared scaling sweep.
 func Figure12(ctx context.Context, l *Lab) (*Figure12Result, error) {
-	s, err := l.aspNetScaling(ctx)
+	points, err := l.aspNetScaling(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &Figure12Result{Points: s.Points, Sweep: s.Sweep}, nil
+	return &Figure12Result{Points: points, Sweep: l.Cfg.CoreSweep}, nil
 }
 
 // MeanAt aggregates the L3-bound share and per-core LLC MPKI at one core

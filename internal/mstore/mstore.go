@@ -31,6 +31,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"repro/internal/clr"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/metrics"
@@ -124,9 +125,8 @@ func Key(ps []workload.Profile, m *machine.Config, opts sim.Options) (string, er
 	return hex.EncodeToString(h[:]), nil
 }
 
-// rec is the stored form of one core.Measurement. Err does not round-trip
-// as an error value, so it is stored as its message; consumers of cached
-// measurements only nil-check or print measurement errors.
+// rec is the stored form of one core.Measurement. Err is stored as its
+// message; decodeErr turns it back into an error value.
 type rec struct {
 	Workload workload.Profile
 	Vector   metrics.Vector
@@ -211,11 +211,24 @@ func (s *Store) Get(ps []workload.Profile, m *machine.Config, opts sim.Options) 
 	for i, r := range e.Measurements {
 		ms[i] = core.Measurement{Workload: r.Workload, Vector: r.Vector, Result: r.Result}
 		if r.Err != "" {
-			ms[i].Err = errors.New(r.Err)
+			ms[i].Err = decodeErr(r.Err)
 		}
 	}
 	s.Obs.Add("mstore.hits", 1)
 	return ms, true
+}
+
+// decodeErr rebuilds a stored measurement error from its message. The
+// simulator failures callers classify with errors.Is (Fig 14 renders them
+// as failed cells) come back as themselves: the simulator returns them
+// unwrapped, so their message identifies them.
+func decodeErr(msg string) error {
+	for _, err := range []error{clr.ErrOutOfMemory, clr.ErrServerGCReserve} {
+		if msg == err.Error() {
+			return err
+		}
+	}
+	return errors.New(msg)
 }
 
 // Put stores the measurements under the key of their inputs, atomically.

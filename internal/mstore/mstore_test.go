@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/clr"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -189,6 +191,39 @@ func TestMeasureEquivalence(t *testing.T) {
 		if !bytes.Equal(render(ms), ref) {
 			t.Fatalf("%s: report bytes differ from serial run", name)
 		}
+	}
+}
+
+// TestClassifiedErrorsSurviveTheStore: a measurement that fails with a
+// simulator sentinel (here a forced OutOfMemory) classifies with
+// errors.Is both when measured and when served from the store, so Fig 14
+// renders a failed cell on a warm store instead of aborting; any other
+// stored error stays unclassified.
+func TestClassifiedErrorsSurviveTheStore(t *testing.T) {
+	p, _ := workload.ByName(workload.DotNetCategories(), "System.Collections")
+	p.WorkingSetBytes = 190 << 20
+	ps, m := []workload.Profile{p}, machine.CoreI9()
+	opts := sim.Options{Instructions: 1000, MaxHeapBytes: 200 << 20}
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Obs = obs.New()
+	cold := measure(t, s, ps, m, opts, 1)
+	warm := measure(t, s, ps, m, opts, 1)
+	if s.Obs.Counter("mstore.hits") != 1 {
+		t.Fatal("second measurement was not served from the store")
+	}
+	for name, ms := range map[string][]core.Measurement{"cold": cold, "warm": warm} {
+		if err := ms[0].Err; !errors.Is(err, clr.ErrOutOfMemory) {
+			t.Errorf("%s: error %v does not classify as clr.ErrOutOfMemory", name, err)
+		}
+	}
+	if err := decodeErr(clr.ErrServerGCReserve.Error()); err != clr.ErrServerGCReserve {
+		t.Errorf("stored server-GC reservation failure decodes to %v", err)
+	}
+	if err := decodeErr("perf: run of x retired no instructions"); errors.Is(err, clr.ErrOutOfMemory) || errors.Is(err, clr.ErrServerGCReserve) {
+		t.Errorf("an unclassified stored error decodes to a sentinel: %v", err)
 	}
 }
 

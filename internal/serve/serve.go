@@ -474,14 +474,23 @@ type measureRequest struct {
 	Workloads []string `json:"workloads,omitempty"`
 }
 
+// maxMeasureBody bounds a POST /v1/measure body. A well-formed request
+// names a suite, a machine and at most a suite's workloads, far below it.
+const maxMeasureBody = 1 << 20
+
 // handleMeasure measures a suite through the admission queue and renders
-// the measured metric vectors as an artifact array.
+// the measured metric vectors as an artifact array. A body over
+// maxMeasureBody is refused with 413.
 func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	var req measureRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMeasureBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		s.respondError(w, &statusError{http.StatusBadRequest, fmt.Sprintf("malformed request body: %v", err)})
+		status := http.StatusBadRequest
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.respondError(w, &statusError{status, fmt.Sprintf("malformed request body: %v", err)})
 		return
 	}
 	def, ok := s.lab.Suite(req.Suite)

@@ -845,3 +845,22 @@ func TestMeasureArtifactErrorRows(t *testing.T) {
 		t.Fatalf("error row not rendered:\n%s", buf.String())
 	}
 }
+
+// TestMeasureBodyTooLarge: a measure body over the bound is refused with
+// 413 and the usual JSON error body, before anything is measured.
+func TestMeasureBodyTooLarge(t *testing.T) {
+	tr := obs.New()
+	_, srv := newTestServer(t, quickLab(tr), tr, Config{Workers: 1, QueueDepth: 1})
+	body := `{"suite":"` + strings.Repeat("a", maxMeasureBody) + `"}`
+	resp, out := postJSON(t, srv, "/v1/measure", body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %s", resp.StatusCode, out)
+	}
+	var doc map[string]string
+	if err := json.Unmarshal(out, &doc); err != nil || doc["error"] == "" {
+		t.Fatalf("413 body is not a JSON error: %v\n%s", err, out)
+	}
+	if n := tr.Counter("sim.instructions"); n != 0 {
+		t.Fatalf("an oversized request simulated %d instructions", n)
+	}
+}

@@ -29,7 +29,8 @@
 #                docs/full_output.txt (the artifact text renderer must
 #                reproduce the legacy renderings exactly), then the same
 #                drivers as -format json validated by cmd/artifactcheck;
-#                one shared -cache DIR keeps the second pass fast
+#                one shared -cache DIR serves the second pass, whose
+#                -telemetry-out counters must show it simulated nothing
 #   spec smoke   every examples/*.json workload spec validated by
 #                cmd/artifactcheck -spec, then charnet -suite-spec
 #                examples/spec2017mem.json table4 run end-to-end: the
@@ -133,8 +134,19 @@ if ! cmp -s "$renderdir/full.txt" docs/full_output.txt; then
     diff docs/full_output.txt "$renderdir/full.txt" | head -40 >&2 || true
     exit 1
 fi
-"$renderdir/charnet" -full -cache "$renderdir/mstore" -format json all > "$renderdir/full.json"
+"$renderdir/charnet" -full -cache "$renderdir/mstore" -format json \
+    -telemetry-out "$renderdir/telemetry.json" all > "$renderdir/full.json" 2> "$renderdir/profile.txt"
 "$renderdir/artifactcheck" < "$renderdir/full.json"
+# Every driver measures through the Lab, so the store the text pass
+# filled serves the JSON pass whole: its own counters must show store
+# hits and no simulated instruction.
+grep -q '"mstore.hits"' "$renderdir/telemetry.json" || {
+    echo "the -format json pass was not served from the store" >&2; exit 1; }
+if grep -q '"sim.instructions"' "$renderdir/telemetry.json"; then
+    echo "the -format json pass simulated on a warm store:" >&2
+    cat "$renderdir/profile.txt" >&2
+    exit 1
+fi
 
 echo "== spec smoke (artifactcheck -spec examples/*.json, then -suite-spec through table4)"
 specdir="$workdir/spec"
