@@ -6,9 +6,9 @@
 // changes the branch addresses, the predictor state is lost even if the
 // control flow behavior of those branches is unchanged" — is modeled
 // faithfully: predictor tables are indexed by (hashed) PC, so relocating a
-// code page makes its branches land in cold table entries. The Flush and
-// FlushRange entry points let the JIT model invalidate exactly the state
-// belonging to regenerated pages.
+// code page makes its branches land in cold table entries. The simulator's
+// JIT model places each (re)compiled method at fresh addresses, so no
+// invalidation entry point is needed; Flush serves only Renew's reset.
 package branch
 
 import "fmt"
@@ -197,25 +197,6 @@ func (p *Predictor) Flush() {
 	p.history = 0
 	for i := range p.btbTags {
 		p.btbTags[i] = 0
-	}
-}
-
-// FlushRange invalidates BTB entries and resets direction counters for
-// branches whose PC lies in [start, start+size): the state the JIT
-// destroys when it regenerates one code page. Direction counters are
-// hash-indexed, so the corresponding entries are reset pessimistically by
-// scanning PCs at 4-byte granularity; size is bounded by code-page size so
-// this stays cheap.
-func (p *Predictor) FlushRange(start, size uint64) {
-	firstWord := (start>>2)<<1 | 1
-	lastWord := ((start+size-1)>>2)<<1 | 1
-	for i, t := range p.btbTags {
-		if t != 0 && t >= firstWord && t <= lastWord {
-			p.btbTags[i] = 0
-		}
-	}
-	for pc := start; pc < start+size; pc += 4 {
-		p.table[p.index(pc)] = 1
 	}
 }
 

@@ -106,25 +106,6 @@ func TestFlush(t *testing.T) {
 	}
 }
 
-func TestFlushRangeSelective(t *testing.T) {
-	p := New(12, 4096, 4)
-	inside := uint64(0x10000)
-	outside := uint64(0x80000)
-	for i := 0; i < 10; i++ {
-		p.Predict(inside, true)
-		p.Predict(outside, true)
-	}
-	p.FlushRange(0x10000, 0x1000)
-	_, hitIn := p.Predict(inside, true)
-	if hitIn {
-		t.Fatal("BTB entry inside the flushed page should be cold")
-	}
-	_, hitOut := p.Predict(outside, true)
-	if !hitOut {
-		t.Fatal("BTB entry outside the flushed page should survive")
-	}
-}
-
 func TestJITRelocationColdStartScenario(t *testing.T) {
 	// The §VII-A1 effect: a branch with stable behavior relocated to a new
 	// address mispredicts again until retrained.

@@ -46,12 +46,14 @@ func BenchmarkCacheAccessMiss(b *testing.B) {
 }
 
 // BenchmarkCacheInsertRange measures the bulk prewarm path over a
-// cache-sized range.
+// cache-sized range: each iteration renews the cache first, as the
+// simulation arena does before every prewarm.
 func BenchmarkCacheInsertRange(b *testing.B) {
 	c := NewCache("b", l1Geom(), LRU)
 	b.SetBytes(32 * 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		c = RenewCache(c, "b", l1Geom(), LRU)
 		c.InsertRange(0, 32*1024)
 	}
 }

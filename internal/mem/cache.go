@@ -165,9 +165,9 @@ func (c *Cache) Probe(addr uint64) bool {
 }
 
 // Insert fills addr without counting an access: used by the prefetcher
-// model to install lines ahead of demand, and by the prewarm pass, whose
-// bulk line installs make this the hottest setup loop in the tree — the
-// presence scan and victim selection share one pass over the set.
+// model to install lines ahead of demand, and by InsertRange(s) on caches
+// the bulk sweep does not model. The presence scan and victim selection
+// share one pass over the set.
 func (c *Cache) Insert(addr uint64) {
 	c.clock++
 	line := addr >> c.lineBits
@@ -222,61 +222,43 @@ func (c *Cache) Insert(addr uint64) {
 //
 //	for a := start; a < end; a += lineSize { c.Insert(a) }
 //
-// but an order of magnitude faster for large ranges: the loop above
-// revisits each set once per wrap of the set space, streaming the whole
-// tag/timestamp array through the cache hierarchy on every wrap, while
-// the bulk path processes each set exactly once with its ways held hot.
+// On an untouched LRU cache — the prewarm case, right after RenewCache —
+// it runs the bulk sweep, an order of magnitude faster for large ranges:
+// the loop above revisits each set once per wrap of the set space,
+// streaming the whole tag/timestamp array through the host's caches on
+// every wrap, while the sweep processes each set exactly once with its
+// ways held hot. Any other cache takes the loop above.
 func (c *Cache) InsertRange(start, end uint64) {
 	if end <= start {
 		return
 	}
-	if c.policy != LRU || c.ways > maxBulkWays {
+	if !c.bulkable() {
 		c.insertRangeSlow(start, end)
 		return
 	}
-	sets := uint64(c.sets)
-	n := (end - start + (1 << c.lineBits) - 1) >> c.lineBits
-	first := start >> c.lineBits
-	jobs := [1]insertJob{{
-		first: first, last: first + n - 1, n: n,
-		mFull: n / sets, mRem: n % sets,
-		clockBase: c.clock,
-		startSet:  first & c.setMask,
-		cnt:       min(n, sets),
-	}}
-	c.runInsertJobs(jobs[:], c.clock+n)
+	jobs := [1]insertJob{c.newJob(start, end, 0)}
+	c.runInsertJobs(jobs[:], jobs[0].n)
 }
 
 // InsertRanges installs a batch of byte ranges, equivalent to calling
-// InsertRange on each in order but processed set-major: every set is
-// snapshotted once for the whole batch and the victim-queue state carries
-// across ranges. The prewarm pass batches all of a cache's ranges through
-// this, turning ranges×sets set visits into one visit per set.
+// InsertRange on each in order. On an untouched LRU cache the batch runs
+// set-major: every set is visited once for the whole batch, turning
+// ranges×sets set visits into one visit per set. The prewarm pass batches
+// all of a cache's ranges through this.
 func (c *Cache) InsertRanges(ranges [][2]uint64) {
-	if c.policy != LRU || c.ways > maxBulkWays {
+	if !c.bulkable() {
 		for _, r := range ranges {
-			if r[1] > r[0] {
-				c.insertRangeSlow(r[0], r[1])
-			}
+			c.insertRangeSlow(r[0], r[1])
 		}
 		return
 	}
-	sets := uint64(c.sets)
 	jobs := make([]insertJob, 0, len(ranges))
-	clock := c.clock
+	clock := uint64(0)
 	for _, r := range ranges {
 		if r[1] <= r[0] {
 			continue
 		}
-		n := (r[1] - r[0] + (1 << c.lineBits) - 1) >> c.lineBits
-		first := r[0] >> c.lineBits
-		j := insertJob{
-			first: first, last: first + n - 1, n: n,
-			mFull: n / sets, mRem: n % sets,
-			clockBase: clock,
-			startSet:  first & c.setMask,
-			cnt:       min(n, sets),
-		}
+		j := c.newJob(r[0], r[1], clock)
 		// A later range overlapping an earlier one can presence-hit the
 		// earlier range's fills, so its inserts need residency checks.
 		for i := range jobs {
@@ -286,7 +268,7 @@ func (c *Cache) InsertRanges(ranges [][2]uint64) {
 			}
 		}
 		jobs = append(jobs, j)
-		clock += n
+		clock += j.n
 	}
 	if len(jobs) == 0 {
 		return
@@ -294,8 +276,15 @@ func (c *Cache) InsertRanges(ranges [][2]uint64) {
 	c.runInsertJobs(jobs, clock)
 }
 
-// insertRangeSlow is the per-line fallback for policies and geometries the
-// bulk path does not model.
+// bulkable reports whether the bulk sweep models this cache exactly: LRU,
+// at most maxBulkWays ways, and untouched. Every tag write advances the
+// clock, so clock 0 means every way is empty.
+func (c *Cache) bulkable() bool {
+	return c.clock == 0 && c.policy == LRU && c.ways <= maxBulkWays
+}
+
+// insertRangeSlow is the per-line path for caches the bulk sweep does not
+// model.
 func (c *Cache) insertRangeSlow(start, end uint64) {
 	lineSize := uint64(1) << c.lineBits
 	for a := start; a < end; a += lineSize {
@@ -304,7 +293,7 @@ func (c *Cache) insertRangeSlow(start, end uint64) {
 }
 
 // maxBulkWays bounds the associativity the bulk insert path supports; wider
-// caches use the per-line fallback.
+// caches use the per-line path.
 const maxBulkWays = 32
 
 // insertJob is one range of an InsertRanges batch, in line coordinates.
@@ -318,248 +307,39 @@ type insertJob struct {
 	overlaps    bool   // line bounds intersect an earlier job in the batch
 }
 
-// runInsertJobs executes a batch of insert jobs with state, statistics and
-// clock evolution identical to the per-line Insert loops in batch order.
+// newJob describes the non-empty byte range [start, end) as an insert job
+// whose first insert follows clock value clockBase.
+func (c *Cache) newJob(start, end, clockBase uint64) insertJob {
+	sets := uint64(c.sets)
+	n := (end - start + (1 << c.lineBits) - 1) >> c.lineBits
+	first := start >> c.lineBits
+	return insertJob{
+		first: first, last: first + n - 1, n: n,
+		mFull: n / sets, mRem: n % sets,
+		clockBase: clockBase,
+		startSet:  first & c.setMask,
+		cnt:       min(n, sets),
+	}
+}
+
+// runInsertJobs executes a batch of insert jobs on an untouched cache with
+// state, statistics and clock evolution identical to the per-line Insert
+// loops in batch order.
 //
 // Each set is handled independently (Insert never couples distinct sets) and
-// visited once for the whole batch. Within a set, victims are fully
-// determined: empty ways in way order, then pre-existing entries
-// oldest-first, then the batch's own fills in FIFO rotation. Because every
-// pop is immediately followed by a fill of the same way, the rotation phase
-// revisits the ways in exactly the order of the first `ways` pops — so the
-// whole victim stream is one fixed sequence sigma (empties in way order,
-// then pre-entries by age) cycled forever, and pop p is sigma[p mod ways]
-// with no FIFO bookkeeping at all. That state carries from job to job: it
-// is exactly what a fresh per-job snapshot would rebuild, since remaining
-// empties stay in way order and surviving fills' timestamp order equals
-// fill order. Presence-hits (skips that touch nothing, not even
-// timestamps) can only come from pre-existing entries inside the job's
-// line bounds or from earlier overlapping jobs in the batch; only then are
-// residency checks paid.
+// visited once for the whole batch. With every way empty at the start, the
+// victim of pop p in any set is way p mod ways: the empties in way order
+// first, then the batch's own fills in FIFO rotation, since every pop is
+// immediately followed by a fill of the same way and surviving fills'
+// timestamp order equals fill order. A fill past the first `ways` pops
+// overwrites a prior fill and counts as an eviction, exactly as the
+// per-line path would. Presence-hits (skips that touch nothing, not even
+// timestamps) can only come from earlier jobs of the batch whose line
+// bounds overlap (nursery re-warms); only those jobs pay residency checks.
 func (c *Cache) runInsertJobs(jobs []insertJob, endClock uint64) {
-	if c.clock == 0 {
-		// Every tag write advances the clock, so clock 0 means an
-		// untouched cache — the production prewarm case, with its own
-		// leaner sweep.
-		c.runInsertJobsFresh(jobs, endClock)
-		return
-	}
 	sets := uint64(c.sets)
 	ways := c.ways
 	// A single job only touches cnt consecutive sets; a batch sweeps all.
-	sweepStart, sweepCnt := uint64(0), sets
-	if len(jobs) == 1 {
-		sweepStart, sweepCnt = jobs[0].startSet, jobs[0].cnt
-	}
-	// Scratch hoisted out of the sweep; every cell read is written first in
-	// the same set iteration.
-	var order [maxBulkWays]int32 // sigma: empties, then (merged) pre by age
-	var preWay [maxBulkWays]int32
-	var preTS [maxBulkWays]uint64
-	var preLine [maxBulkWays]uint64
-	var wayJ [maxBulkWays]int32 // way -> pending in-bounds position, mask mode
-	for si := uint64(0); si < sweepCnt; si++ {
-		s := (sweepStart + si) & c.setMask
-		base := int(s) * ways
-		snapped, merged := false, false
-		var e0, nPre, popIdx, pops int
-		lastFill := int32(-1)
-		for ji := range jobs {
-			j := &jobs[ji]
-			k := (s - j.startSet) & c.setMask
-			if k >= j.cnt {
-				continue
-			}
-			m := j.mFull // inserts landing in this set
-			if k < j.mRem {
-				m++
-			}
-			if !snapped {
-				snapped = true
-				for w := 0; w < ways; w++ {
-					t := c.tags[base+w]
-					if t == 0 {
-						order[e0] = int32(w)
-						e0++
-						continue
-					}
-					preWay[nPre] = int32(w)
-					preTS[nPre] = c.ts[base+w]
-					preLine[nPre] = t >> 1
-					nPre++
-				}
-			}
-			// Residency checks are needed iff a currently-resident line can
-			// fall inside this job's bounds. Surviving pre-entries are the
-			// un-popped suffix; preLine is scanned unsorted while no pop has
-			// reached the pre queue (then the suffix is the whole array).
-			check := j.overlaps
-			if !check {
-				vp := pops - e0
-				if vp < 0 {
-					vp = 0
-				}
-				for p := vp; p < nPre; p++ {
-					if preLine[p] >= j.first && preLine[p] <= j.last {
-						check = true
-						break
-					}
-				}
-			}
-			// This set's sub-sequence of the job: lines lineBase + t*sets,
-			// t in [0, m), insert index within the job idx = k + t*sets.
-			lineBase := j.first + k
-			if !check {
-				if m == 1 {
-					// The dominant shape (a range shorter than the set
-					// space visits each set once): one fill, no loop.
-					var w int32
-					if pops < e0 {
-						w = order[popIdx]
-					} else {
-						if !merged {
-							merged = true
-							mergePre(&order, &preWay, &preTS, &preLine, e0, nPre)
-						}
-						if popIdx == ways {
-							popIdx = 0
-						}
-						w = order[popIdx]
-						c.Stats.Evictions++
-					}
-					popIdx++
-					pops++
-					i := base + int(w)
-					c.tags[i] = lineBase<<1 | 1
-					c.ts[i] = j.clockBase + k + 1
-					lastFill = w
-					continue
-				}
-				// Clean job: every insert fills. While pops stay below e0
-				// the victims are the empties, fill-order untouched; after
-				// that sigma cycles and every fill evicts.
-				idx := k
-				line := lineBase
-				t := uint64(0)
-				for ; t < m && pops < e0; t++ {
-					w := order[popIdx]
-					popIdx++
-					pops++
-					i := base + int(w)
-					c.tags[i] = line<<1 | 1
-					c.ts[i] = j.clockBase + idx + 1
-					lastFill = w
-					idx += sets
-					line += sets
-				}
-				if t < m {
-					if !merged {
-						merged = true
-						mergePre(&order, &preWay, &preTS, &preLine, e0, nPre)
-					}
-					for ; t < m; t++ {
-						if popIdx == ways {
-							popIdx = 0
-						}
-						w := order[popIdx]
-						popIdx++
-						pops++
-						c.Stats.Evictions++
-						i := base + int(w)
-						c.tags[i] = line<<1 | 1
-						c.ts[i] = j.clockBase + idx + 1
-						lastFill = w
-						idx += sets
-						line += sets
-					}
-				}
-				continue
-			}
-			useMask := m <= 64
-			var mask uint64
-			if useMask {
-				// Which of the m lines are resident right now. Residents in
-				// bounds are necessarily on this sub-sequence (their set is
-				// determined by the line), so a bounds check suffices and
-				// the position falls out of a shift.
-				for w := 0; w < ways; w++ {
-					wayJ[w] = -1
-					t := c.tags[base+w]
-					if t == 0 {
-						continue
-					}
-					if line := t >> 1; line >= j.first && line <= j.last {
-						p := (line - lineBase) >> c.setBits
-						wayJ[w] = int32(p)
-						mask |= 1 << p
-					}
-				}
-			}
-			idx := k
-			line := lineBase
-			for t := uint64(0); t < m; t++ {
-				present := false
-				if useMask {
-					present = mask&(1<<t) != 0
-				} else {
-					// Overlapping with m > 64: per-line residency scan.
-					word := line<<1 | 1
-					for w := 0; w < ways; w++ {
-						if c.tags[base+w] == word {
-							present = true
-							break
-						}
-					}
-				}
-				if !present {
-					if pops >= e0 {
-						if !merged {
-							merged = true
-							mergePre(&order, &preWay, &preTS, &preLine, e0, nPre)
-						}
-						if popIdx == ways {
-							popIdx = 0
-						}
-						c.Stats.Evictions++
-					}
-					w := order[popIdx]
-					popIdx++
-					pops++
-					if useMask {
-						// Evicting a not-yet-reached resident line makes its
-						// turn a real re-fill.
-						if pj := wayJ[w]; pj >= 0 {
-							mask &^= 1 << uint64(pj)
-						}
-						wayJ[w] = -1
-					}
-					i := base + int(w)
-					c.tags[i] = line<<1 | 1
-					c.ts[i] = j.clockBase + idx + 1
-					lastFill = w
-				}
-				idx += sets
-				line += sets
-			}
-		}
-		if lastFill >= 0 {
-			c.mru[s] = lastFill
-		}
-	}
-	c.clock = endClock
-}
-
-// runInsertJobsFresh is runInsertJobs specialized for an untouched cache:
-// with every way empty, sigma is the way order itself, so there is no
-// snapshot, no timestamp merge and no pre-entry residency scan. Presence
-// checks remain only for jobs overlapping an earlier job of the batch
-// (nursery re-warms), whose mask is built from the live tags as in the
-// general path. Victim of pop p in any set is way p mod ways; a fill past
-// the first `ways` pops overwrites a prior fill and counts as an eviction,
-// exactly as the per-line path would.
-func (c *Cache) runInsertJobsFresh(jobs []insertJob, endClock uint64) {
-	sets := uint64(c.sets)
-	ways := c.ways
 	sweepStart, sweepCnt := uint64(0), sets
 	if len(jobs) == 1 {
 		sweepStart, sweepCnt = jobs[0].startSet, jobs[0].cnt
@@ -581,8 +361,12 @@ func (c *Cache) runInsertJobsFresh(jobs []insertJob, endClock uint64) {
 				m++
 			}
 			lineBase := j.first + k
+			// This set's sub-sequence of the job: lines lineBase + t*sets,
+			// t in [0, m), insert index within the job idx = k + t*sets.
 			if !j.overlaps {
 				if m == 1 {
+					// The dominant shape (a range shorter than the set
+					// space visits each set once): one fill, no loop.
 					if popIdx == ways {
 						popIdx = 0
 					}
@@ -622,6 +406,10 @@ func (c *Cache) runInsertJobsFresh(jobs []insertJob, endClock uint64) {
 			useMask := m <= 64
 			var mask uint64
 			if useMask {
+				// Which of the m lines are resident right now. Residents in
+				// bounds are necessarily on this sub-sequence (their set is
+				// determined by the line), so a bounds check suffices and
+				// the position falls out of a shift.
 				for w := 0; w < ways; w++ {
 					wayJ[w] = -1
 					t := c.tags[base+w]
@@ -642,6 +430,7 @@ func (c *Cache) runInsertJobsFresh(jobs []insertJob, endClock uint64) {
 				if useMask {
 					present = mask&(1<<t) != 0
 				} else {
+					// m > 64: per-line residency scan.
 					word := line<<1 | 1
 					for w := 0; w < ways; w++ {
 						if c.tags[base+w] == word {
@@ -661,6 +450,8 @@ func (c *Cache) runInsertJobsFresh(jobs []insertJob, endClock uint64) {
 					popIdx++
 					pops++
 					if useMask {
+						// Evicting a not-yet-reached resident line makes its
+						// turn a real re-fill.
 						if pj := wayJ[w]; pj >= 0 {
 							mask &^= 1 << uint64(pj)
 						}
@@ -680,25 +471,6 @@ func (c *Cache) runInsertJobsFresh(jobs []insertJob, endClock uint64) {
 		}
 	}
 	c.clock = endClock
-}
-
-// mergePre completes sigma: the pre-existing entries are sorted by
-// timestamp (= eviction order) and appended after the empties in order.
-// Deferred until a pop actually reaches the pre queue: prewarm mostly fills
-// fresh sets, where it never runs.
-func mergePre(order, way *[maxBulkWays]int32, ts *[maxBulkWays]uint64, line *[maxBulkWays]uint64, e0, n int) {
-	for i := 1; i < n; i++ {
-		pw, pt, pl := way[i], ts[i], line[i]
-		q := i - 1
-		for q >= 0 && ts[q] > pt {
-			way[q+1], ts[q+1], line[q+1] = way[q], ts[q], line[q]
-			q--
-		}
-		way[q+1], ts[q+1], line[q+1] = pw, pt, pl
-	}
-	for i := 0; i < n; i++ {
-		order[e0+i] = way[i]
-	}
 }
 
 // fill selects a victim way for word in the set at base, installs it, and
@@ -731,28 +503,6 @@ func (c *Cache) fill(base int, word uint64) int {
 	c.tags[victim] = word
 	c.ts[victim] = c.clock
 	return victim
-}
-
-// Flush invalidates every line, modeling the cold-start state after JIT
-// code-page relocation or a context migration.
-func (c *Cache) Flush() {
-	for i := range c.tags {
-		c.tags[i] = 0
-	}
-}
-
-// FlushRange invalidates all lines whose address falls inside
-// [start, start+size), used when the JIT relocates one code page.
-func (c *Cache) FlushRange(start, size uint64) {
-	first := start >> c.lineBits
-	last := (start + size - 1) >> c.lineBits
-	firstWord := first<<1 | 1
-	lastWord := last<<1 | 1
-	for i, t := range c.tags {
-		if t != 0 && t >= firstWord && t <= lastWord {
-			c.tags[i] = 0
-		}
-	}
 }
 
 // ResetStats zeroes the counters without touching cache contents; used to

@@ -107,28 +107,6 @@ func TestInsertPrefetch(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	c := NewCache("t", smallGeom(), LRU)
-	c.Access(0x100)
-	c.Flush()
-	if c.Access(0x100) {
-		t.Fatal("flushed line should miss")
-	}
-}
-
-func TestFlushRange(t *testing.T) {
-	c := NewCache("t", machine.CacheGeom{SizeBytes: 64 * 1024, LineBytes: 64, Ways: 8}, LRU)
-	c.Access(0x1000)
-	c.Access(0x9000)
-	c.FlushRange(0x1000, 0x1000)
-	if c.Probe(0x1000) {
-		t.Fatal("0x1000 should be flushed")
-	}
-	if !c.Probe(0x9000) {
-		t.Fatal("0x9000 should survive range flush")
-	}
-}
-
 func TestRandomPolicyStillCaches(t *testing.T) {
 	c := NewCache("t", smallGeom(), Random)
 	c.Access(0x40)

@@ -118,16 +118,6 @@ func TestResetWindow(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	s := New(machine.CoreI9(), mem.LRU)
-	s.Access(0, 0x40, 1)
-	s.Flush()
-	hit, _ := s.Access(0, 0x40, 1)
-	if hit {
-		t.Fatal("flush should invalidate")
-	}
-}
-
 func TestStatsZeroDivision(t *testing.T) {
 	var st Stats
 	if st.MissRate() != 0 || st.AvgLatency() != 0 {
@@ -146,22 +136,25 @@ func TestBadSliceCountPanics(t *testing.T) {
 	New(cfg, mem.LRU)
 }
 
-// TestInsertRangeMatchesInsertLoop checks the bulk prewarm path against the
-// per-line Insert loop under both placement modes: identical per-slice
-// contents (probed) and identical subsequent access behavior.
+// TestInsertRangeMatchesInsertLoop checks sequential one-range InsertRanges
+// batches against the per-line Insert loop under both placement modes:
+// identical per-slice contents (probed) and identical subsequent access
+// behavior. Only the first batch finds the slices untouched, so the later
+// ones cover the slices' per-line path as well as the bulk sweep.
 func TestInsertRangeMatchesInsertLoop(t *testing.T) {
 	for _, hashed := range []bool{false, true} {
 		ref := New(machine.CoreI9(), mem.LRU)
 		opt := New(machine.CoreI9(), mem.LRU)
 		ref.UseHashedPlacement(hashed)
 		opt.UseHashedPlacement(hashed)
-		// Overlapping unaligned ranges spanning many slice wraps, plus an
-		// empty one.
-		for _, rg := range [][2]uint64{{0x10020, 0x90020}, {0x4c040, 0x70040}, {0x100000, 0x100000}} {
+		// Overlapping unaligned ranges spanning many slice wraps, a range
+		// 2 MiB on (one slice's set space) that lands on the first one's
+		// sets, plus an empty one.
+		for _, rg := range [][2]uint64{{0x10020, 0x90020}, {0x4c040, 0x70040}, {0x210020, 0x290020}, {0x100000, 0x100000}} {
 			for a := rg[0]; a < rg[1]; a += 64 {
 				ref.Insert(a)
 			}
-			opt.InsertRange(rg[0], rg[1])
+			opt.InsertRanges([][2]uint64{rg})
 		}
 		for a := uint64(0x10000); a < 0xa0000; a += 64 {
 			if ref.Slices[ref.SliceFor(a)].Probe(ref.sliceLocal(a)) !=
@@ -225,7 +218,7 @@ func TestRenewMatchesNew(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		s.Access(i%8, uint64(r.Intn(1<<28)), 8)
 	}
-	s.InsertRange(0, 1<<20)
+	s.InsertRanges([][2]uint64{{0, 1 << 20}})
 	if got := Renew(s, cfg, mem.LRU); got != s || !reflect.DeepEqual(got, New(cfg, mem.LRU)) {
 		t.Fatal("renewing on the same machine must reset in place to the new state")
 	}

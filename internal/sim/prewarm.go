@@ -7,7 +7,11 @@ package sim
 // on cold misses that real measurements amortized away long ago.
 //
 // Ranges are batched per cache and executed with one InsertRanges call
-// each, which processes the whole batch set-major (one snapshot per set).
+// each. prewarm runs once, on a hierarchy the arena has just renewed, so
+// each call finds its cache untouched and takes the bulk sweep (one visit
+// per set for the whole batch). A cache already holding lines (the
+// JITCodePrefetch assist fills L1I and L2 as each core enters its first
+// method) takes the per-line path instead, with the same result.
 // Batching only reorders inserts across *distinct* caches and TLBs, which
 // share no state; each structure still sees its ranges in original order.
 func (e *engine) prewarm() {

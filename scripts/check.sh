@@ -40,6 +40,9 @@
 #                validated by cmd/artifactcheck, /metrics scraped by
 #                cmd/metricscheck for the serve.* families, then SIGTERM
 #                and a clean (exit 0) graceful drain
+#   line count   the non-test Go line count (git ls-files '*.go' minus
+#                _test.go, testdata/ and charnetbench/), printed for the
+#                PR description; it is a report, not a gate
 #
 # Tier-1 (go build + go test) is the floor; this script is the gate every
 # PR should pass.
@@ -193,3 +196,7 @@ grep -q "charnetd: drained" "$daemondir/stderr.txt" || {
     echo "charnetd did not report a graceful drain" >&2; exit 1; }
 
 echo "ok: all checks passed"
+
+echo "== non-test Go line count"
+git ls-files '*.go' | grep -v -e '_test\.go$' -e 'testdata/' -e '^charnetbench/' |
+    xargs cat | wc -l
